@@ -6,6 +6,13 @@ the bootstrapped self-normalized interval, which replaces the simulated limit
 quantile by the bootstrap quantile of the resampled pivot.  Resamples draw
 ceil(n/l) blocks of length l uniformly and truncate the concatenation to n,
 so a fractional last block is used when l does not divide n.
+
+Degenerate resamples: a resample whose estimate is undefined (a vanished
+prefix variance, a failed fit) is redrawn up to max_retries times and then
+dropped.  The self-normalized scheme also drops resamples whose normalizer
+W* is not positive, without redrawing them.  More than max_bad_frac of the
+replications dropped, for either reason, raises
+TooManyDegenerateResamplesError.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .core import (
     BlockTooLongError,
     DegenerateVarianceError,
     RngStream,
+    SelfnormError,
     SeriesLike,
     TooManyDegenerateResamplesError,
     ValidationError,
@@ -30,6 +38,8 @@ from .estimators import EstimatorSpec, batch_prefix_values, prefix_estimates
 from .inference import (
     Ellipsoid,
     Interval,
+    json_estimate,
+    json_region,
     sn_interval,
     sn_pivot,
     sn_region,
@@ -39,7 +49,12 @@ from .inference import (
 
 @dataclass(frozen=True)
 class MbbConfig:
-    """Block length, resample count, seed, and degenerate-resample policy."""
+    """Block length, resample count, seed, and degenerate-resample policy.
+
+    max_retries bounds the redraws of a resample with an undefined estimate;
+    max_bad_frac is the largest share of replications that may be dropped
+    (see the module docstring).
+    """
 
     block_length: int
     replications: int = 1000
@@ -63,7 +78,7 @@ class MbbConfig:
 class MbbResult:
     scheme: str
     estimator: str
-    estimate: float
+    estimate: Union[float, np.ndarray]
     n_eff: int
     level: float
     block_length: int
@@ -76,19 +91,13 @@ class MbbResult:
         d = {
             "scheme": self.scheme,
             "estimator": self.estimator,
-            "estimate": self.estimate,
+            "estimate": json_estimate(self.estimate),
             "N": self.n_eff,
             "level": self.level,
             "block_length": self.block_length,
             "replications": self.replications,
         }
-        if isinstance(self.region, Interval):
-            d["L"] = self.region.lower
-            d["U"] = self.region.upper
-        else:
-            d["center"] = [float(v) for v in self.region.center]
-            d["shape"] = [[float(v) for v in row] for row in self.region.shape]
-            d["radius2"] = self.region.radius2
+        d.update(json_region(self.region))
         if self.sigma2 is not None:
             d["sigma2"] = self.sigma2
         if self.ustar is not None:
@@ -98,189 +107,184 @@ class MbbResult:
 
 def assemble_blocks(values: np.ndarray, starts: np.ndarray, block_length: int) -> np.ndarray:
     """Concatenate blocks values[s : s+l] for each 0-based start, truncated
-    to the original length."""
+    to the original length.  starts may carry leading batch axes; the last
+    axis lists the blocks of one resample."""
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     starts = np.asarray(starts)
-    idx = (starts[:, None] + np.arange(block_length)[None, :]).reshape(-1)[:n]
-    if idx.shape[0] < n:
+    idx = starts[..., :, None] + np.arange(block_length)
+    idx = idx.reshape(*starts.shape[:-1], -1)[..., :n]
+    if idx.shape[-1] < n:
         raise ValidationError("not enough blocks to cover the series")
     return values[idx]
+
+
+def _draw(x: np.ndarray, block_length: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """rows moving-block resamples of x, one per row."""
+    n = x.shape[0]
+    starts = gen.integers(0, n - block_length + 1, size=(rows, math.ceil(n / block_length)))
+    return assemble_blocks(x, starts, block_length)
 
 
 def mbb_resample(ts: SeriesLike, block_length: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarray:
     """One moving-block resample of the series."""
     s = as_series(ts)
-    n = s.n
-    if block_length > n:
-        raise BlockTooLongError(block_length, n)
+    if block_length > s.n:
+        raise BlockTooLongError(block_length, s.n)
     if block_length < 1:
         raise ValidationError("block length must be >= 1")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    k = math.ceil(n / block_length)
-    starts = gen.integers(0, n - block_length + 1, size=k)
-    return assemble_blocks(s.values, starts, block_length)
+    return _draw(s.values, block_length, 1, gen)[0]
 
 
 # ---------------------------------------------------------------------------
 # Resampling engine
 # ---------------------------------------------------------------------------
 
-def _draw_resamples(x: np.ndarray, block_length: int, rows: int, gen: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    k = math.ceil(n / block_length)
-    starts = gen.integers(0, n - block_length + 1, size=(rows, k))
-    idx = (starts[:, :, None] + np.arange(block_length)[None, None, :]).reshape(rows, -1)[:, :n]
-    return x[idx]
+def _check_bad(bad: int, cfg: MbbConfig) -> None:
+    if bad > cfg.max_bad_frac * cfg.replications:
+        raise TooManyDegenerateResamplesError(bad, cfg.replications)
 
 
-def _bootstrap_prefix_values(
+def _resample(
     x: np.ndarray,
-    spec: EstimatorSpec,
     cfg: MbbConfig,
-    extra_ok: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, int]:
-    """Prefix-value rows for cfg.replications resamples.
+    """Evaluate cfg.replications resamples of x; returns (values, dropped).
 
-    Rows with a degenerate estimator (or failing extra_ok, e.g. a
-    non-positive normalizer) are redrawn up to max_retries times, then
-    dropped; more than max_bad_frac dropped rows aborts.
+    evaluate maps a (rows, n) matrix of resamples to (values, ok), one entry
+    per row.  Rows with ok False are redrawn up to cfg.max_retries times,
+    then dropped; values holds the kept rows only.
     """
     n = x.shape[0]
     if cfg.block_length > n:
         raise BlockTooLongError(cfg.block_length, n)
     gen = RngStream(cfg.seed).child("mbb", cfg.block_length).generator()
-    xs = _draw_resamples(x, cfg.block_length, cfg.replications, gen)
-    vals, first_valid, ok = batch_prefix_values(spec, xs)
-    if extra_ok is not None:
-        ok = ok & extra_ok(vals, first_valid)
-    retries = 0
-    while not ok.all() and retries < cfg.max_retries:
-        retries += 1
+    vals, ok = evaluate(_draw(x, cfg.block_length, cfg.replications, gen))
+    for _ in range(cfg.max_retries):
         bad = np.flatnonzero(~ok)
-        xs_new = _draw_resamples(x, cfg.block_length, bad.shape[0], gen)
-        vals_new, _, ok_new = batch_prefix_values(spec, xs_new)
-        if extra_ok is not None:
-            ok_new = ok_new & extra_ok(vals_new, first_valid)
-        vals[bad] = vals_new
-        ok[bad] = ok_new
+        if bad.size == 0:
+            break
+        vals[bad], ok[bad] = evaluate(_draw(x, cfg.block_length, bad.size, gen))
     dropped = int((~ok).sum())
-    if dropped > cfg.max_bad_frac * cfg.replications:
-        raise TooManyDegenerateResamplesError(dropped, cfg.replications)
-    return vals[ok], first_valid
+    _check_bad(dropped, cfg)
+    return vals[ok], dropped
 
 
-def _positive_normalizer(n_eff: int) -> Callable[[np.ndarray, int], np.ndarray]:
-    def check(vals: np.ndarray, first_valid: int) -> np.ndarray:
-        return wn_scalar_batch(vals, first_valid, n_eff) > 0.0
+def _resample_prefix_values(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) -> tuple[np.ndarray, int]:
+    """Prefix-value rows of the kept resamples, and the dropped count."""
+    # batch_prefix_values gives (values, first_valid, ok); keep values and ok
+    return _resample(x, cfg, lambda xs: batch_prefix_values(spec, xs)[::2])
 
-    return check
+
+def _percentile_interval(root: np.ndarray, est: float, n: int, level: float) -> Interval:
+    alpha = 1.0 - level
+    q_lo, q_hi = np.quantile(root, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return Interval(est - q_hi / math.sqrt(n), est - q_lo / math.sqrt(n))
+
+
+def _normal_interval(root: np.ndarray, est: float, n: int, level: float) -> tuple[Interval, float]:
+    # a degenerate root (constant series) legitimately gives a point interval
+    sigma2 = float(np.var(root, ddof=1))
+    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    half = z * math.sqrt(sigma2 / n)
+    return Interval(est - half, est + half), sigma2
+
+
+def _sn_quantile(vals: np.ndarray, est: float, n: int, spec: EstimatorSpec, cfg: MbbConfig, dropped: int) -> float:
+    """Bootstrap quantile of the scalar pivot n (est* - est)^2 / W*.
+
+    Resamples with W* <= 0 are dropped and count with the already dropped
+    ones toward cfg.max_bad_frac.
+    """
+    w = wn_scalar_batch(vals, spec.first_valid(), n)
+    good = w > 0.0
+    _check_bad(dropped + int((~good).sum()), cfg)
+    pivots = n * (vals[good, -1] - est) ** 2 / w[good]
+    return float(np.quantile(pivots, cfg.level))
 
 
 # ---------------------------------------------------------------------------
 # Public schemes
 # ---------------------------------------------------------------------------
 
-def mbb_percentile_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
-    """Scheme 1: percentile interval from the bootstrap law of
-    sqrt(N)(est* - est)."""
+def _scalar_root(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig, scheme: str):
+    """(series, estimate, bootstrap root sqrt(N)(est* - est)) for scalar schemes."""
     s = as_series(ts)
     if spec.dim != 1:
-        raise ValidationError("percentile scheme handles scalar estimators only")
+        raise ValidationError(f"{scheme} scheme handles scalar estimators only")
     est = float(prefix_estimates(spec, s).final[0])
-    vals, _ = _bootstrap_prefix_values(s.values, spec, cfg)
-    root = math.sqrt(s.n) * (vals[:, -1] - est)
-    alpha = 1.0 - cfg.level
-    q_lo, q_hi = np.quantile(root, [alpha / 2.0, 1.0 - alpha / 2.0])
+    vals, _ = _resample_prefix_values(s.values, spec, cfg)
+    return s, est, math.sqrt(s.n) * (vals[:, -1] - est)
+
+
+def _result(
+    scheme: str,
+    spec: EstimatorSpec,
+    cfg: MbbConfig,
+    estimate: Union[float, np.ndarray],
+    n: int,
+    region: Union[Interval, Ellipsoid],
+    **extra,
+) -> MbbResult:
     return MbbResult(
-        scheme="mbb-pct",
+        scheme=scheme,
         estimator=spec.canonical(),
-        estimate=est,
-        n_eff=s.n,
+        estimate=estimate,
+        n_eff=n,
         level=cfg.level,
         block_length=cfg.block_length,
         replications=cfg.replications,
-        region=Interval(est - q_hi / math.sqrt(s.n), est - q_lo / math.sqrt(s.n)),
+        region=region,
+        **extra,
     )
+
+
+def mbb_percentile_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
+    """Scheme 1: percentile interval from the bootstrap law of
+    sqrt(N)(est* - est)."""
+    s, est, root = _scalar_root(ts, spec, cfg, "percentile")
+    return _result("mbb-pct", spec, cfg, est, s.n, _percentile_interval(root, est, s.n, cfg.level))
 
 
 def mbb_normal_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
     """Scheme 2: normal interval with the bootstrap variance of the root."""
-    s = as_series(ts)
-    if spec.dim != 1:
-        raise ValidationError("normal scheme handles scalar estimators only")
-    est = float(prefix_estimates(spec, s).final[0])
-    vals, _ = _bootstrap_prefix_values(s.values, spec, cfg)
-    root = math.sqrt(s.n) * (vals[:, -1] - est)
-    # a degenerate root (constant series) legitimately gives a point interval
-    sigma2 = float(np.var(root, ddof=1))
-    z = float(stats.norm.ppf(0.5 + cfg.level / 2.0))
-    half = z * math.sqrt(sigma2 / s.n)
-    return MbbResult(
-        scheme="mbb-normal",
-        estimator=spec.canonical(),
-        estimate=est,
-        n_eff=s.n,
-        level=cfg.level,
-        block_length=cfg.block_length,
-        replications=cfg.replications,
-        region=Interval(est - half, est + half),
-        sigma2=sigma2,
-    )
+    s, est, root = _scalar_root(ts, spec, cfg, "normal")
+    region, sigma2 = _normal_interval(root, est, s.n, cfg.level)
+    return _result("mbb-normal", spec, cfg, est, s.n, region, sigma2=sigma2)
 
 
 def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
     """Scheme 3: self-normalized interval with the bootstrap pivot quantile.
 
     The resampled pivot N (est* - est)' W*^{-1} (est* - est) replaces the
-    simulated limit quantile; the interval itself is the self-normalized one
+    simulated limit quantile; the region itself is the self-normalized one
     on the original series, so it always contains the point estimate.
+    Estimators without a batch kernel are evaluated one resample at a time.
     """
     s = as_series(ts)
     seq = prefix_estimates(spec, s)
-    if spec.dim == 1:
-        vals, first_valid = _bootstrap_prefix_values(
-            s.values, spec, cfg, extra_ok=_positive_normalizer(s.n)
-        )
-        est = float(seq.final[0])
-        w = wn_scalar_batch(vals, first_valid, s.n)
-        pivots = s.n * (vals[:, -1] - est) ** 2 / w
-        ustar = float(np.quantile(pivots, cfg.level))
-        base = sn_interval(seq, ustar, cfg.level, estimator=spec.canonical())
+    if spec.batched:
+        vals, dropped = _resample_prefix_values(s.values, spec, cfg)
+        ustar = _sn_quantile(vals, float(seq.final[0]), s.n, spec, cfg, dropped)
     else:
-        # vector targets: per-resample sequences (no batch kernel)
-        gen = RngStream(cfg.seed).child("mbb", cfg.block_length).generator()
-        pivots = []
-        bad = 0
-        for _ in range(cfg.replications):
-            draw = _draw_resamples(s.values, cfg.block_length, 1, gen)[0]
-            retry = 0
-            while True:
+
+        def evaluate(xs):
+            pivots = np.full(xs.shape[0], np.nan)
+            for r, row in enumerate(xs):
                 try:
-                    boot_seq = prefix_estimates(spec, draw)
-                    pivots.append(sn_pivot(boot_seq, seq.final))
-                    break
-                except Exception:
-                    retry += 1
-                    if retry > cfg.max_retries:
-                        bad += 1
-                        break
-                    draw = _draw_resamples(s.values, cfg.block_length, 1, gen)[0]
-        if bad > cfg.max_bad_frac * cfg.replications:
-            raise TooManyDegenerateResamplesError(bad, cfg.replications)
-        ustar = float(np.quantile(np.asarray(pivots), cfg.level))
-        base = sn_region(seq, ustar, cfg.level, estimator=spec.canonical())
-    return MbbResult(
-        scheme="mbb-sn",
-        estimator=spec.canonical(),
-        estimate=float(seq.final[0]) if spec.dim == 1 else float("nan"),
-        n_eff=s.n,
-        level=cfg.level,
-        block_length=cfg.block_length,
-        replications=cfg.replications,
-        region=base.region,
-        ustar=ustar,
-    )
+                    pivots[r] = sn_pivot(prefix_estimates(spec, row), seq.final)
+                except SelfnormError:
+                    pass
+            return pivots, ~np.isnan(pivots)
+
+        pivots, _ = _resample(s.values, cfg, evaluate)
+        ustar = float(np.quantile(pivots, cfg.level))
+    build = sn_interval if spec.dim == 1 else sn_region
+    region = build(seq, ustar, cfg.level, estimator=spec.canonical()).region
+    estimate = float(seq.final[0]) if spec.dim == 1 else seq.final.copy()
+    return _result("mbb-sn", spec, cfg, estimate, s.n, region, ustar=ustar)
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +307,17 @@ def bootstrap_suite(
     """
     n = x.shape[0]
     est = float(seq_values[-1])
-    vals, fv = _bootstrap_prefix_values(x, spec, cfg, extra_ok=_positive_normalizer(n))
+    vals, dropped = _resample_prefix_values(x, spec, cfg)
     root = math.sqrt(n) * (vals[:, -1] - est)
-    alpha = 1.0 - cfg.level
-    q_lo, q_hi = np.quantile(root, [alpha / 2.0, 1.0 - alpha / 2.0])
-    pct = Interval(est - q_hi / math.sqrt(n), est - q_lo / math.sqrt(n))
-    sigma2 = float(np.var(root, ddof=1))
-    z = float(stats.norm.ppf(0.5 + cfg.level / 2.0))
-    half = z * math.sqrt(sigma2 / n)
-    nrm = Interval(est - half, est + half)
-    w_star = wn_scalar_batch(vals, fv, n)
-    pivots = n * (vals[:, -1] - est) ** 2 / w_star
-    ustar = float(np.quantile(pivots, cfg.level))
+    nrm, _ = _normal_interval(root, est, n, cfg.level)
+    ustar = _sn_quantile(vals, est, n, spec, cfg, dropped)
     w0 = wn_scalar_batch(seq_values[None, :], first_valid, n)[0]
     if not w0 > 0.0:
         raise DegenerateVarianceError("self-normalizer of the original series is zero")
     half_sn = math.sqrt(ustar * w0 / n)
-    snb = Interval(est - half_sn, est + half_sn)
-    return {"mbb-pct": pct, "mbb-normal": nrm, "mbb-sn": snb, "ustar": ustar}
+    return {
+        "mbb-pct": _percentile_interval(root, est, n, cfg.level),
+        "mbb-normal": nrm,
+        "mbb-sn": Interval(est - half_sn, est + half_sn),
+        "ustar": ustar,
+    }

@@ -36,7 +36,7 @@ from .dgp import generate
 from .estimators import EstimatorSpec, prefix_estimates
 from .inference import sn_interval, sn_region
 from .montecarlo import get_study, resolve_reps, run_study, write_csv
-from .noncorr import lobato_test, qtilde_test, sn_noncorr_test
+from .noncorr import check_k, lobato_test, qtilde_test, sn_noncorr_test
 
 _PROG = "selfnorm"
 
@@ -141,6 +141,7 @@ def _cmd_test_noncorr(args) -> int:
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be strictly between 0 and 1")
     ts = _read_input(args.data)
+    check_k(ts.n, args.k)
     if args.method == "nw":
         result = qtilde_test(ts, args.k, alpha)
     else:

@@ -177,7 +177,7 @@ class EstimateSequence:
 
     Row j holds the estimate using the first ``first_valid + j`` observations;
     the last row used all ``n_eff`` observations.  Estimates are stored as a
-    (rows, dim) array even for scalar statistics.
+    (rows, dim) array; a 1-d input is a column of scalar estimates.
     """
 
     estimates: np.ndarray
@@ -185,10 +185,11 @@ class EstimateSequence:
     n_eff: int
 
     def __post_init__(self):
-        est = np.atleast_2d(np.asarray(self.estimates, dtype=np.float64))
-        if est.shape[0] == 1 and est.shape[1] != 1 and self.n_eff - self.first_valid + 1 != 1:
-            # a 1-d vector of scalar estimates arrived as a row; store as column
-            est = est.T
+        est = np.asarray(self.estimates, dtype=np.float64)
+        if est.ndim == 1:
+            est = est[:, None]
+        elif est.ndim != 2:
+            raise ValidationError(f"estimates must be 1-d or (rows, dim), got shape {est.shape}")
         object.__setattr__(self, "estimates", est)
         rows = est.shape[0]
         if self.first_valid < 1:
@@ -226,44 +227,24 @@ PIVOT_RTOL = 1e-14
 RESIDUAL_RTOL = 1e-10
 
 
-def cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with an explicit relative pivot tolerance."""
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for symmetric positive definite a via Cholesky.
+
+    A batch of one through chol_solve_batch.  Raises NotPositiveDefiniteError
+    when a pivot falls at or below 1e-14 times the largest diagonal entry,
+    and SolverFailedError when the residual exceeds 1e-10 relative to the
+    problem scale.
+    """
     a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotPositiveDefiniteError("matrix has non-finite entries")
-    q = a.shape[0]
-    tol = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    lower = np.zeros_like(a)
-    for j in range(q):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > tol:
-            raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at column {j}")
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < q:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a via Cholesky.
-
-    Raises NotPositiveDefiniteError when a pivot falls at or below
-    1e-14 times the largest diagonal entry, and SolverFailedError when the
-    residual exceeds 1e-10 relative to the problem scale.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    lower = cholesky_spd(a)
-    q = a.shape[0]
-    y = np.empty_like(b, dtype=np.float64)
-    # forward then back substitution; q is small everywhere this is used
-    for i in range(q):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.empty_like(y)
-    for i in range(q - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1:, i] @ x[i + 1:]) / lower[i, i]
+    x, ok = chol_solve_batch(a[None], b[None])
+    if not ok[0]:
+        raise NotPositiveDefiniteError()
+    x = x[0]
     scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b)
     resid = np.linalg.norm(a @ x - b)
     if resid > RESIDUAL_RTOL * max(scale, np.finfo(np.float64).tiny):
@@ -281,8 +262,9 @@ def chol_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Batched SPD solve: a is (m, q, q), b is (m, q).
 
     Returns (x, ok) where ok marks rows whose factorization kept every pivot
-    above the same relative tolerance as solve_spd.  Failed rows come back as
-    NaN instead of raising, so callers can apply their own retry policy.
+    above PIVOT_RTOL times the row's largest diagonal entry.  Failed rows come
+    back as NaN instead of raising, so callers can apply their own retry
+    policy; solve_spd is the raising batch of one.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import NumericalError, RngStream, quadform_batch
+from .core import NumericalError, RngStream, ValidationError, quadform_batch
 
 DEFAULT_GRID = 1000
 DEFAULT_SEED = 7654321
@@ -65,7 +65,7 @@ class CritvalTable:
 
 def _alpha_key(alpha: float) -> str:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     return format(alpha, ".6f")
 
 
@@ -109,13 +109,13 @@ def simulate_uq(
     redrawn; more than 0.1% of them failing aborts.
     """
     if q < 1:
-        raise ValueError("dimension q must be >= 1")
+        raise ValidationError("dimension q must be >= 1")
     if grid < 2 * q:
-        raise ValueError(f"grid {grid} too coarse for dimension {q}")
+        raise ValidationError(f"grid {grid} too coarse for dimension {q}")
     if reps is None:
         reps = default_reps(q)
     if reps < 100:
-        raise ValueError("need at least 100 replications")
+        raise ValidationError("need at least 100 replications")
     alphas = tuple(sorted(set(float(a) for a in alphas)))
     for a in alphas:
         _alpha_key(a)
@@ -181,11 +181,16 @@ def table_to_json(table: CritvalTable) -> str:
 
 
 def _load_cache(path: Path) -> dict:
+    """The cache's contents; a missing or unreadable file is an empty cache,
+    which the next store overwrites."""
     if not path.exists():
         return {"version": 1, "tables": {}}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "tables" not in data:
+        try:
+            data = json.load(fh)
+        except ValueError:  # not JSON (or not UTF-8)
+            data = None
+    if not isinstance(data, dict) or not isinstance(data.get("tables"), dict):
         return {"version": 1, "tables": {}}
     return data
 

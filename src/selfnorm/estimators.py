@@ -9,7 +9,6 @@ inner loops.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,23 +45,18 @@ _DEGENERATE_RTOL = 1e-14
 class PhiSpec:
     """Weight function on [0, pi] for spectral averages.
 
-    kind "indicator" integrates the spectral density over [0, x]; kind
-    "cosine" (2 cos(m lambda)) picks out the lag-m autocovariance.
+    The only kind is "indicator": the spectral density integrated over
+    [0, x], written PhiSpec("indicator", x=...).
     """
 
     kind: str
     x: float = 0.0
-    m: int = 0
 
     def __post_init__(self):
-        if self.kind == "indicator":
-            if not 0.0 <= self.x <= math.pi:
-                raise ValidationError(f"indicator cutoff {self.x} outside [0, pi]")
-        elif self.kind == "cosine":
-            if self.m < 0:
-                raise ValidationError("cosine order must be >= 0")
-        else:
+        if self.kind != "indicator":
             raise ValidationError(f"unknown weight function kind {self.kind!r}")
+        if not 0.0 <= self.x <= math.pi:
+            raise ValidationError(f"indicator cutoff {self.x} outside [0, pi]")
 
 
 def fourier_coeffs(phi: PhiSpec, count: int) -> np.ndarray:
@@ -75,14 +69,9 @@ def fourier_coeffs(phi: PhiSpec, count: int) -> np.ndarray:
     if count < 1:
         raise ValidationError("need at least one coefficient")
     g = np.zeros(count)
-    if phi.kind == "indicator":
-        g[0] = phi.x / (2.0 * math.pi)
-        k = np.arange(1, count)
-        if count > 1:
-            g[1:] = np.sin(k * phi.x) / (math.pi * k)
-    else:  # cosine
-        if phi.m < count:
-            g[phi.m] = 1.0
+    g[0] = phi.x / (2.0 * math.pi)
+    k = np.arange(1, count)
+    g[1:] = np.sin(k * phi.x) / (math.pi * k)
     return g
 
 
@@ -183,6 +172,11 @@ class EstimatorSpec:
     def dim(self) -> int:
         return self.order if self.kind == "ladar" else 1
 
+    @property
+    def batched(self) -> bool:
+        """Whether batch_prefix_values evaluates this statistic row-wise."""
+        return self.kind != "ladar"
+
     def first_valid(self) -> int:
         if self.kind in ("mean", "median"):
             return 1
@@ -217,12 +211,42 @@ def batch_prefix_mean(x: np.ndarray) -> np.ndarray:
 
 
 def batch_prefix_median(x: np.ndarray) -> np.ndarray:
-    """(B, n) -> (B, n) prefix medians (midpoint rule on even prefixes)."""
+    """(B, n) -> (B, n) prefix medians (midpoint rule on even prefixes).
+
+    Each row is sorted once.  Walking back from the full sample, the newest
+    observation is unlinked from a doubly linked list over the sorted order,
+    and the pointer to the lower-middle element moves at most one step per
+    deletion, so a row costs O(n log n).
+    """
     x = _check_matrix(x)
-    n = x.shape[1]
+    b, n = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    # flat indices into (B, n + 1) arrays: a row's sorted positions 0..n-1,
+    # then one spare slot that both ends of the row's list point at
+    slot = np.arange(b * (n + 1)).reshape(b, n + 1)
+    ranked = np.empty(slot.size)
+    ranked[slot[:, :n]] = np.take_along_axis(x, order, axis=1)
+    sorted_slot = np.empty_like(order)  # sorted_slot[:, i]: where x[:, i] sits
+    np.put_along_axis(sorted_slot, order, slot[:, :n], axis=1)
+    prev, nxt = slot - 1, slot + 1
+    prev[:, 0] = nxt[:, n - 1] = slot[:, n]
+    prev, nxt = prev.ravel(), nxt.ravel()
+    lo = slot[:, (n - 1) // 2]
     out = np.empty_like(x)
-    for t in range(1, n + 1):
-        out[:, t - 1] = np.median(x[:, :t], axis=1)
+    for t in range(n, 0, -1):
+        gone = sorted_slot[:, t - 1]
+        # the lower middle of the t - 1 values left: one step down when t is
+        # odd and the deleted value sits at or above it, one step up when t
+        # is even and it sits at or below it
+        if t % 2:
+            out[:, t - 1] = ranked[lo]
+            lo = np.where(gone >= lo, prev[lo], lo)
+        else:
+            out[:, t - 1] = (ranked[lo] + ranked[nxt[lo]]) / 2.0
+            lo = np.where(gone <= lo, nxt[lo], lo)
+        before, after = prev[gone], nxt[gone]
+        nxt[before] = after
+        prev[after] = before
     return out
 
 
@@ -338,37 +362,17 @@ def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray,
 # Public single-series estimators
 # ---------------------------------------------------------------------------
 
-def _wrap(values_row: np.ndarray, first_valid: int, n: int) -> EstimateSequence:
-    return EstimateSequence(values_row[:, None], first_valid, n)
-
-
 def prefix_mean(ts: SeriesLike) -> EstimateSequence:
     """Running means of all prefixes."""
     s = as_series(ts)
-    return _wrap(batch_prefix_mean(s.values[None, :])[0], 1, s.n)
+    return EstimateSequence(batch_prefix_mean(s.values[None, :])[0], 1, s.n)
 
 
 def prefix_median(ts: SeriesLike) -> EstimateSequence:
-    """Running medians in O(n log n) via two heaps.
-
-    Even-length prefixes use the midpoint of the two central order
-    statistics.
-    """
+    """Running medians; even-length prefixes use the midpoint of the two
+    central order statistics."""
     s = as_series(ts)
-    lo: list[float] = []  # max-heap (negated): lower half
-    hi: list[float] = []  # min-heap: upper half
-    out = np.empty(s.n)
-    for i, v in enumerate(s.values):
-        if lo and v > -lo[0]:
-            heapq.heappush(hi, float(v))
-        else:
-            heapq.heappush(lo, -float(v))
-        if len(lo) > len(hi) + 1:
-            heapq.heappush(hi, -heapq.heappop(lo))
-        elif len(hi) > len(lo):
-            heapq.heappush(lo, -heapq.heappop(hi))
-        out[i] = -lo[0] if len(lo) > len(hi) else (-lo[0] + hi[0]) / 2.0
-    return _wrap(out, 1, s.n)
+    return EstimateSequence(batch_prefix_median(s.values[None, :])[0], 1, s.n)
 
 
 def prefix_autocov(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateSequence:
@@ -379,7 +383,7 @@ def prefix_autocov(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateS
     """
     s = as_series(ts)
     vals = batch_prefix_autocov(s.values[None, :], k, divisor)[0]
-    return _wrap(vals, _autocov_first_valid(k), s.n)
+    return EstimateSequence(vals, _autocov_first_valid(k), s.n)
 
 
 def prefix_autocorr(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateSequence:
@@ -390,14 +394,14 @@ def prefix_autocorr(ts: SeriesLike, k: int, divisor: str = "full_n") -> Estimate
         raise DegenerateVarianceError(
             "a prefix variance vanished; autocorrelation undefined"
         )
-    return _wrap(vals[0], _autocov_first_valid(k), s.n)
+    return EstimateSequence(vals[0], _autocov_first_valid(k), s.n)
 
 
 def prefix_spectral_mean(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
     """Running spectral averages of the prefix periodogram, prefixes 4..n."""
     s = as_series(ts)
     vals, _ = batch_prefix_spectral(s.values[None, :], phi, ratio=False)
-    return _wrap(vals[0], SPECTRAL_FIRST_VALID, s.n)
+    return EstimateSequence(vals[0], SPECTRAL_FIRST_VALID, s.n)
 
 
 def prefix_spectral_ratio(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
@@ -408,7 +412,7 @@ def prefix_spectral_ratio(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
         raise DegenerateVarianceError(
             "a prefix variance vanished; spectral ratio undefined"
         )
-    return _wrap(vals[0], SPECTRAL_FIRST_VALID, s.n)
+    return EstimateSequence(vals[0], SPECTRAL_FIRST_VALID, s.n)
 
 
 # ---------------------------------------------------------------------------

@@ -112,22 +112,32 @@ class SelfNormResult:
     region: Union[Interval, Ellipsoid]
 
     def to_json(self) -> str:
-        est = self.estimate
         d: dict = {
             "estimator": self.estimator,
-            "estimate": float(est[0]) if est.shape == (1,) else [float(v) for v in est],
+            "estimate": json_estimate(self.estimate),
             "N": self.n_eff,
             "level": self.level,
             "critval": self.critval,
         }
-        if isinstance(self.region, Interval):
-            d["L"] = self.region.lower
-            d["U"] = self.region.upper
-        else:
-            d["center"] = [float(v) for v in self.region.center]
-            d["shape"] = [[float(v) for v in row] for row in self.region.shape]
-            d["radius2"] = self.region.radius2
+        d.update(json_region(self.region))
         return json.dumps(d)
+
+
+def json_estimate(estimate) -> Union[float, list]:
+    """A point estimate for JSON: a float when scalar, else a list."""
+    est = np.atleast_1d(np.asarray(estimate, dtype=np.float64))
+    return float(est[0]) if est.shape == (1,) else [float(v) for v in est]
+
+
+def json_region(region: Union[Interval, Ellipsoid]) -> dict:
+    """JSON fields of a region: L and U, or center, shape and radius2."""
+    if isinstance(region, Interval):
+        return {"L": region.lower, "U": region.upper}
+    return {
+        "center": [float(v) for v in region.center],
+        "shape": [[float(v) for v in row] for row in region.shape],
+        "radius2": region.radius2,
+    }
 
 
 def sn_interval(
@@ -179,14 +189,3 @@ def sn_region(
         w_matrix=w,
         region=Ellipsoid(seq.final.copy(), shape, critval),
     )
-
-
-def sn_intervals_scalar_batch(
-    values: np.ndarray, first_valid: int, n_eff: int, critval: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched scalar intervals: returns (centers, half_widths, ok)."""
-    w = wn_scalar_batch(values, first_valid, n_eff)
-    ok = w > 0.0
-    with np.errstate(invalid="ignore"):
-        half = np.sqrt(critval * w / n_eff)
-    return values[:, -1], np.where(ok, half, np.nan), ok

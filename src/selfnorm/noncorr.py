@@ -56,8 +56,13 @@ class NoncorrResult:
         }
 
 
-def _min_n(k: int) -> int:
-    return k + 21  # need a sensible number of prefixes beyond the first valid one
+def check_k(n: int, k: int) -> None:
+    """Reject a lag count k that is not positive or too long for n points."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    # need a sensible number of prefixes beyond the first valid one
+    if n < k + 21:
+        raise TooShortError(n, k + 21)
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +77,7 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     vector, weighted by s - k, build the normalizer.  N = n - k.
     """
     b, n = x.shape
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if n < _min_n(k):
-        raise TooShortError(n, _min_n(k))
+    check_k(n, k)
     big_n = n - k
     s_values = np.arange(k + 2, n + 1)
     c = np.stack(
@@ -96,10 +98,7 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     autocovariance vector form the normalizer; N = n - k.
     """
     b, n = x.shape
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if n < _min_n(k):
-        raise TooShortError(n, _min_n(k))
+    check_k(n, k)
     big_n = n - k
     xc = x - x.mean(axis=1, keepdims=True)
     # full-sample autocovariances (divisor n)
@@ -233,10 +232,7 @@ def qtilde_test(ts: SeriesLike, k: int, alpha: float) -> NoncorrResult:
     correlations by the delta method.
     """
     s = as_series(ts)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if s.n < _min_n(k):
-        raise TooShortError(s.n, _min_n(k))
+    check_k(s.n, k)
     x = s.values
     n = s.n
     xc = x - x.mean()

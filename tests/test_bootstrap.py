@@ -14,6 +14,7 @@ from selfnorm.core import (
 )
 from selfnorm.critvals import get_quantile
 from selfnorm.estimators import EstimatorSpec, prefix_estimates
+from selfnorm import bootstrap
 from selfnorm.bootstrap import (
     MbbConfig,
     assemble_blocks,
@@ -145,6 +146,19 @@ class TestSchemes:
             MbbConfig(block_length=2, level=1.5)
         with pytest.raises(ValidationError):
             MbbConfig(block_length=2, seed=-3)
+
+
+class TestPerResamplePath:
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only numerical failures count as degenerate resamples
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(bootstrap, "sn_pivot", broken)
+        x = RngStream(21).generator().standard_normal(40)
+        cfg = MbbConfig(block_length=4, replications=10, seed=1)
+        with pytest.raises(TypeError):
+            mbb_sn_ci(x, EstimatorSpec.parse("ladar:1"), cfg)
 
 
 class TestSuite:

@@ -13,8 +13,13 @@ from pathlib import Path
 import pytest
 
 import selfnorm
+from selfnorm import cli
 
 _CONST = "\n".join(["5.0"] * 60) + "\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def run_cli(args, stdin=None):
@@ -125,6 +130,27 @@ class TestCi:
         assert out["scheme"] == "mbb-sn"
         assert out["replications"] == 200
 
+    @pytest.mark.parametrize("stat,dim", [("ladar:1", 1), ("ladar:2", 2)])
+    def test_mbb_sn_without_batch_kernel(self, m1_series, stat, dim):
+        r = run_cli(["ci", "--stat", stat, "--method", "mbb-sn",
+                     "--block", "5", "--seed", "1", "--reps", "20"],
+                    stdin=m1_series)
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout, parse_constant=_reject_constant)
+        assert out["estimator"] == stat
+        if dim == 1:
+            assert out["L"] <= out["estimate"] <= out["U"]
+        else:
+            assert out["estimate"] == out["center"]
+            assert len(out["estimate"]) == dim
+
+    def test_alpha_rounding_to_zero_is_a_usage_error(self, m1_series):
+        r = run_cli(["ci", "--stat", "mean", "--level", "0.9999999"],
+                    stdin=m1_series)
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == [
+            "selfnorm: alpha must be in (0, 1), got 0.0"]
+
 
 class TestNoncorr:
     def test_contract(self, m1_series):
@@ -144,6 +170,21 @@ class TestNoncorr:
         assert a5["critical_value"] > a10["critical_value"]
         assert a5["statistic"] == a10["statistic"]
 
+    @pytest.mark.parametrize("k,message", [
+        ("0", "k must be >= 1"),
+        ("100", "series has 80 observations, need at least 121"),
+    ])
+    def test_k_checked_before_critical_value(self, tmp_path, monkeypatch,
+                                             capsys, m1_series, k, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("critical value looked up before k was checked")
+
+        monkeypatch.setattr(cli, "get_quantile", refuse)
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        assert cli.main(["test-noncorr", "--k", k, str(path)]) == 1
+        assert capsys.readouterr().err == f"selfnorm: {message}\n"
+
 
 class TestCritvals:
     def test_metadata_contract(self):
@@ -155,6 +196,13 @@ class TestCritvals:
                             "quantile"}
         assert out["cache"] == os.environ["SELFNORM_CRITVAL_CACHE"]
         assert out["quantile"] == pytest.approx(45.4, rel=0.1)
+
+    def test_alpha_rounding_to_zero_is_a_usage_error(self):
+        r = run_cli(["critvals", "--q", "1", "--alpha", "1e-7"])
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert r.stderr.splitlines()[-1] == (
+            "selfnorm: alpha must be in (0, 1), got 0.0")
 
 
 class TestSimulate:

@@ -18,7 +18,6 @@ from selfnorm.core import (
     ValidationError,
     as_series,
     chol_solve_batch,
-    cholesky_spd,
     quadform_batch,
     quadform_spd,
     read_series,
@@ -72,7 +71,7 @@ class TestSpdSolve:
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -176,3 +175,10 @@ class TestEstimateSequence:
         seq = EstimateSequence(np.array([1.0, 2.0, 3.0]), first_valid=1, n_eff=3)
         assert seq.estimates.shape == (3, 1)
         assert seq.dim == 1
+
+    def test_shape_rule_does_not_guess(self):
+        # 1-d is always a column of scalars; a one-row vector must be 2-d
+        with pytest.raises(ValidationError):
+            EstimateSequence(np.array([1.0, 2.0]), first_valid=5, n_eff=5)
+        seq = EstimateSequence(np.array([[1.0, 2.0]]), first_valid=5, n_eff=5)
+        assert seq.dim == 2

@@ -86,6 +86,14 @@ class TestCache:
         v2 = get_quantile(1, 0.05, grid=150, reps=3000, seed=9)
         assert v1 == v2
 
+    def test_corrupt_cache_file_is_rebuilt(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text("{bad")
+        v = get_quantile(1, 0.05, grid=150, reps=3000, seed=9, cache_path=path)
+        assert v == get_quantile(1, 0.05, grid=150, reps=3000, seed=9)
+        tables = json.loads(path.read_text())["tables"]
+        assert list(tables) == ["q=1|grid=150|reps=3000|seed=9"]
+
     def test_missing_alpha_triggers_resimulation(self):
         v = get_quantile(1, 0.2, grid=150, reps=3000, seed=9)
         assert v > 0

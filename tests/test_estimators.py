@@ -96,6 +96,16 @@ class TestPrefixMedian:
         expect = [np.median(_SERIES[:t]) for t in range(1, len(_SERIES) + 1)]
         np.testing.assert_allclose(seq.estimates[:, 0], expect, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 31])
+    def test_batch_equals_numpy_with_ties(self, n, rng):
+        # rounded draws repeat values; every prefix must equal np.median exactly
+        x = np.round(rng.standard_normal((6, n)), 0)
+        x[0] = 1.5
+        spec = EstimatorSpec.parse("median")
+        values, _, _ = batch_prefix_values(spec, x)
+        expect = np.stack([np.median(x[:, :t], axis=1) for t in range(1, n + 1)], axis=1)
+        np.testing.assert_array_equal(values, expect)
+
 
 class TestPrefixAutocov:
     def test_alternating_hand_value(self):
@@ -150,10 +160,6 @@ class TestFourierCoeffs:
         np.testing.assert_allclose(
             g, [0.25, 1 / math.pi, 0.0, -1 / (3 * math.pi)], atol=1e-15)
 
-    def test_cosine_picks_one_lag(self):
-        g = fourier_coeffs(PhiSpec("cosine", m=2), 5)
-        np.testing.assert_array_equal(g, [0, 0, 1, 0, 0])
-
 
 class TestSpectralMean:
     def test_full_band_equals_half_variance(self):
@@ -165,10 +171,15 @@ class TestSpectralMean:
             np.testing.assert_allclose(
                 sm.estimates[:, 0], acov0.estimates[lo:, 0] / 2.0, atol=1e-10)
 
-    def test_cosine_weight_recovers_autocovariance(self):
+    def test_indicator_weight_matches_autocovariance_sum(self):
+        # every prefix: sum_k g_k gamma_t(k), two-pass autocovariances of x[:t]
         x = _SERIES
-        sm = prefix_spectral_mean(x, PhiSpec("cosine", m=1))
-        assert sm.final[0] == pytest.approx(prefix_autocov(x, 1).final[0], rel=1e-12)
+        phi = PhiSpec("indicator", x=1.0)
+        sm = prefix_spectral_mean(x, phi)
+        g = fourier_coeffs(phi, len(x))
+        for row, t in enumerate(range(sm.first_valid, sm.n_eff + 1)):
+            gamma = [_brute_autocov(x, t, k, "full_n") for k in range(t)]
+            assert sm.estimates[row, 0] == pytest.approx(g[:t] @ gamma, abs=1e-12)
 
     def test_quadrature_oracle_half_band(self):
         # integrate the cosine-series spectral density estimate numerically

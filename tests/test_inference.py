@@ -16,7 +16,6 @@ from selfnorm.core import EstimateSequence, NotPositiveDefiniteError
 from selfnorm.estimators import EstimatorSpec, batch_prefix_values, prefix_mean
 from selfnorm.inference import (
     sn_interval,
-    sn_intervals_scalar_batch,
     sn_pivot,
     sn_pivot_scalar_batch,
     sn_region,
@@ -130,18 +129,6 @@ class TestInterval:
         seq = EstimateSequence(np.full(9, 1.0), first_valid=1, n_eff=9)
         with pytest.raises(NotPositiveDefiniteError):
             sn_interval(seq, critval=1.0, level=0.9)
-
-    def test_batch_matches_single(self, rng):
-        x = rng.standard_normal((4, 35))
-        spec = EstimatorSpec.parse("mean")
-        values, fv, _ = batch_prefix_values(spec, x)
-        centers, halves, ok = sn_intervals_scalar_batch(values, fv, 35, critval=7.0)
-        assert ok.all()
-        for i in range(4):
-            res = sn_interval(prefix_mean(x[i]), critval=7.0, level=0.5)
-            assert centers[i] == pytest.approx(res.estimate[0])
-            assert halves[i] == pytest.approx(
-                (res.region.upper - res.region.lower) / 2, rel=1e-12)
 
 
 class TestRegion:
