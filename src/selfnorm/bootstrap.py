@@ -178,6 +178,23 @@ def _resample_prefix_values(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) 
     return _resample(x, cfg, lambda xs: batch_prefix_values(spec, xs)[::2])
 
 
+def _per_resample(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """An evaluate for _resample that applies fn to one resample at a time,
+    for estimators without a batch kernel; a resample on which fn raises
+    SelfnormError (or returns NaN) is not ok."""
+
+    def evaluate(xs):
+        out = np.full(xs.shape[0], np.nan)
+        for r, row in enumerate(xs):
+            try:
+                out[r] = fn(row)
+            except SelfnormError:
+                pass
+        return out, ~np.isnan(out)
+
+    return evaluate
+
+
 def _percentile_interval(root: np.ndarray, est: float, n: int, level: float) -> Interval:
     alpha = 1.0 - level
     q_lo, q_hi = np.quantile(root, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -215,8 +232,12 @@ def _scalar_root(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig, scheme: st
     if spec.dim != 1:
         raise ValidationError(f"{scheme} scheme handles scalar estimators only")
     est = float(prefix_estimates(spec, s).final[0])
-    vals, _ = _resample_prefix_values(s.values, spec, cfg)
-    return s, est, math.sqrt(s.n) * (vals[:, -1] - est)
+    if spec.batched:
+        finals = _resample_prefix_values(s.values, spec, cfg)[0][:, -1]
+    else:
+        final = _per_resample(lambda row: prefix_estimates(spec, row).final[0])
+        finals = _resample(s.values, cfg, final)[0]
+    return s, est, math.sqrt(s.n) * (finals - est)
 
 
 def _result(
@@ -269,17 +290,8 @@ def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
         vals, dropped = _resample_prefix_values(s.values, spec, cfg)
         ustar = _sn_quantile(vals, float(seq.final[0]), s.n, spec, cfg, dropped)
     else:
-
-        def evaluate(xs):
-            pivots = np.full(xs.shape[0], np.nan)
-            for r, row in enumerate(xs):
-                try:
-                    pivots[r] = sn_pivot(prefix_estimates(spec, row), seq.final)
-                except SelfnormError:
-                    pass
-            return pivots, ~np.isnan(pivots)
-
-        pivots, _ = _resample(s.values, cfg, evaluate)
+        pivot = _per_resample(lambda row: sn_pivot(prefix_estimates(spec, row), seq.final))
+        pivots, _ = _resample(s.values, cfg, pivot)
         ustar = float(np.quantile(pivots, cfg.level))
     build = sn_interval if spec.dim == 1 else sn_region
     region = build(seq, ustar, cfg.level, estimator=spec.canonical()).region

@@ -160,9 +160,11 @@ def _cmd_critvals(args) -> int:
     qs = [args.q] if args.q is not None else list(range(1, 7))
     alphas = set(DEFAULT_ALPHAS)
     if args.alpha is not None:
-        if not 0.0 < args.alpha < 1.0:
-            raise ValidationError("alpha must be strictly between 0 and 1")
-        alphas.add(round(args.alpha, 6))
+        # tables are keyed by the rounded alpha; check it before the echo
+        alpha = round(args.alpha, 6)
+        if not 0.0 < alpha < 1.0:
+            raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+        alphas.add(alpha)
     cache = args.cache or default_cache_path()
     repro = f"{_PROG} critvals"
     if args.q is not None:
@@ -190,7 +192,7 @@ def _cmd_critvals(args) -> int:
             "cache": str(cache),
         }
         if args.alpha is not None:
-            payload["alpha"] = round(args.alpha, 6)
+            payload["alpha"] = alpha
             payload["quantile"] = table.quantile(args.alpha)
         else:
             payload["quantiles"] = {f"{a:.6f}": v for a, v in sorted(table.quantiles.items())}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import fft
 
 from .core import (
     DegenerateVarianceError,
@@ -250,99 +251,121 @@ def batch_prefix_median(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _autocov_grid(x: np.ndarray, k: int, divisor: str, t_min: int) -> np.ndarray:
-    """Mean-corrected lag-k autocovariance on every prefix t = t_min..n.
+def _centered_prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows shifted by their full-sample mean, and their prefix sums.
 
-    Uses prefix sums so the whole grid costs O(B n):
+    Returns (xc, p) with p[:, t] = P_t = xc_1 + ... + xc_t, so P_0 = 0.  The
+    statistics built on these are shift-invariant, so the shift is exact; it
+    spares the prefix-sum formulas the cancellation of a level offset.  The
+    mean can round outside [min, max]: clipping keeps a constant row zero.
+    """
+    centre = np.clip(x.mean(axis=1), x.min(axis=1), x.max(axis=1))
+    xc = x - centre[:, None]
+    p = np.zeros((x.shape[0], x.shape[1] + 1))
+    np.cumsum(xc, axis=1, out=p[:, 1:])
+    return xc, p
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """num / den per prefix; returns (values, ok_rows).
+
+    Rows whose denominator degenerates anywhere on the prefix range come back
+    as NaN with ok False; single-series callers turn that into
+    DegenerateVarianceError, resampling callers redraw.
+    """
+    floor = _DEGENERATE_RTOL * np.maximum(den[:, -1], 0.0)[:, None]
+    ok = (den > floor).all(axis=1) & (den[:, -1] > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = num / den
+    return np.where(ok[:, None], vals, np.nan), ok
+
+
+def _autocov_grid(x: np.ndarray, lags: list[int], divisor: str, t_min: int) -> np.ndarray:
+    """(B, n) -> (B, n - t_min + 1, len(lags)) lag-k autocovariances, k in lags.
+
+    On the centred rows of _centered_prefix_sums, with P the prefix sums,
+    Q_t = sum_{j<=t-k} x_j x_{j+k} and m_t = P_t / t,
       sum_{j<=t-k} (x_j - m_t)(x_{j+k} - m_t)
-        = Q_t - m_t (P_{t-k} + P_t - P_k) + (t-k) m_t^2
-    with P the prefix sums, Q the prefix sums of x_j x_{j+k}, m_t = P_t / t.
+        = Q_t - m_t (P_{t-k} + P_t - P_k) + (t-k) m_t^2,
+    so each lag costs O(B n) time and memory.
     """
     x = _check_matrix(x)
-    n = x.shape[1]
-    if not 0 <= k <= n - 1 or t_min > n:
-        raise LagTooLargeError(k, n)
-    if t_min < max(k + 1, 1):
-        raise ValidationError(f"t_min {t_min} below first defined prefix {k + 1}")
-    p = np.cumsum(x, axis=1)
-    prod = x[:, : n - k] * x[:, k:]
-    q = np.cumsum(prod, axis=1)
+    n, top = x.shape[1], max(lags)
+    if min(lags) < 0 or top > n - 1 or t_min > n:
+        raise LagTooLargeError(top, n)
+    if t_min < top + 1:
+        raise ValidationError(f"t_min {t_min} below first defined prefix {top + 1}")
+    xc, p = _centered_prefix_sums(x)
     ts = np.arange(t_min, n + 1)
-    pt = p[:, ts - 1]
-    ptk = q[:, ts - k - 1]
-    p_before = p[:, ts - k - 1]
-    p_first_k = p[:, k - 1][:, None] if k >= 1 else 0.0
+    pt = p[:, t_min:]
     m = pt / ts
-    num = ptk - m * (p_before + pt - p_first_k) + (ts - k) * m * m
-    den = ts if divisor == "full_n" else (ts - k)
-    return num / den
+    out = np.empty((x.shape[0], ts.size, len(lags)))
+    for i, k in enumerate(lags):
+        q = np.cumsum(xc[:, : n - k] * xc[:, k:], axis=1)  # q[:, i] = Q_{i+k+1}
+        num = q[:, t_min - k - 1:] - m * (p[:, t_min - k: n + 1 - k] + pt - p[:, k:k + 1])
+        out[:, :, i] = (num + (ts - k) * m * m) / (ts if divisor == "full_n" else ts - k)
+    return out
 
 
 def batch_prefix_autocov(x: np.ndarray, k: int, divisor: str = "full_n") -> np.ndarray:
     """(B, n) -> (B, n-k-1) prefix autocovariances, prefixes k+2..n."""
-    return _autocov_grid(x, k, divisor, _autocov_first_valid(k))
+    return _autocov_grid(x, [k], divisor, _autocov_first_valid(k))[:, :, 0]
 
 
 def batch_prefix_autocorr(
     x: np.ndarray, k: int, divisor: str = "full_n"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix lag-k autocorrelations; returns (values, ok_rows).
-
-    Rows whose lag-0 estimate degenerates anywhere on the used prefix range
-    come back as NaN with ok False; single-series callers turn that into
-    DegenerateVarianceError, resampling callers redraw.
-    """
-    x = _check_matrix(x)
+    """Prefix lag-k autocorrelations; returns (values, ok_rows) as _ratio."""
     if k < 1:
         raise ValidationError("autocorrelation lag must be >= 1")
-    t0 = _autocov_first_valid(k)
-    num = _autocov_grid(x, k, divisor, t0)
     # the lag-0 divisor is t under either convention (t - 0 = t)
-    den = _autocov_grid(x, 0, "full_n", t0)
-    floor = _DEGENERATE_RTOL * np.maximum(den[:, -1], 0.0)[:, None]
-    ok = (den > floor).all(axis=1) & (den[:, -1] > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / den
-    vals = np.where(ok[:, None], vals, np.nan)
-    return vals, ok
+    grid = _autocov_grid(x, [k, 0], divisor, _autocov_first_valid(k))
+    return _ratio(grid[:, :, 0], grid[:, :, 1])
 
 
 def batch_prefix_spectral(
     x: np.ndarray, phi: PhiSpec, ratio: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix spectral averages sum_k gamma_t(k) g_k for t = 4..n.
+    """Prefix spectral averages S_t = sum_{k<t} g_k gamma_t(k) for t = 4..n.
 
-    For ratio=True divides by gamma_t(0)/2, the spectral average of the
-    constant weight, giving a normalized spectral distribution value.
+    Summing the lag-k formula of _autocov_grid against g gives, on the same
+    centred rows and prefix sums P (P_0 = 0, m_t = P_t / t),
+      S_t = (A_t - m_t (D_t + P_t G_t - H_t) + m_t^2 (t G_t - K_t)) / t
+    with c = causal-conv(x, g), A = cumsum(x c), D = causal-conv(P, g), and
+    G, K, H the cumsums of g_k, k g_k and g_k P_k.  The two convolutions run
+    by FFT, so a (B, n) batch costs O(B n log n) time and O(B n) memory.
+
+    For ratio=True divides by gamma_t(0)/2 = (sum_{j<=t} x_j^2 - P_t m_t)/(2t),
+    the spectral average of the constant weight, giving a normalized spectral
+    distribution value; returns (values, ok_rows) as _ratio.
     """
     x = _check_matrix(x)
     b, n = x.shape
     if n < SPECTRAL_FIRST_VALID:
         raise TooShortError(n, SPECTRAL_FIRST_VALID)
+    xc, p = _centered_prefix_sums(x)
+    pt, t = p[:, 1:], np.arange(1, n + 1)
     g = fourier_coeffs(phi, n)
-    out = np.zeros((b, n))
-    for k in range(n):
-        if g[k] == 0.0:
-            continue
-        t0 = max(k + 1, 1)
-        out[:, t0 - 1:] += g[k] * _autocov_grid(x, k, "full_n", t0)
-    vals = out[:, SPECTRAL_FIRST_VALID - 1:]
+    size = fft.next_fast_len(2 * n - 1, real=True)  # long enough not to wrap
+    g_hat = fft.rfft(g, size)
+    c, d = (fft.irfft(fft.rfft(a, size, axis=1) * g_hat, size, axis=1)[:, :n]
+            for a in (xc, pt))
+    big_g = np.cumsum(g)
+    h = np.cumsum(g * p[:, :n], axis=1)
+    m = pt / t
+    s = np.cumsum(xc * c, axis=1) - m * (d + pt * big_g - h)
+    s = (s + m * m * (t * big_g - np.cumsum(np.arange(n) * g))) / t
+    first = SPECTRAL_FIRST_VALID - 1
     if not ratio:
-        return vals, np.ones(b, dtype=bool)
-    den = _autocov_grid(x, 0, "full_n", SPECTRAL_FIRST_VALID) / 2.0
-    floor = _DEGENERATE_RTOL * np.maximum(den[:, -1], 0.0)[:, None]
-    ok = (den > floor).all(axis=1) & (den[:, -1] > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = vals / den
-    vals = np.where(ok[:, None], vals, np.nan)
-    return vals, ok
+        return s[:, first:], np.ones(b, dtype=bool)
+    den = (np.cumsum(xc * xc, axis=1) - pt * m) / (2.0 * t)
+    return _ratio(s[:, first:], den[:, first:])
 
 
 def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Dispatch: (values (B, rows), first_valid, ok (B,)) for scalar estimators."""
     x = _check_matrix(x)
-    b = x.shape[0]
-    all_ok = np.ones(b, dtype=bool)
+    all_ok = np.ones(x.shape[0], dtype=bool)
     if spec.kind == "mean":
         return batch_prefix_mean(x), 1, all_ok
     if spec.kind == "median":
@@ -364,15 +387,13 @@ def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray,
 
 def prefix_mean(ts: SeriesLike) -> EstimateSequence:
     """Running means of all prefixes."""
-    s = as_series(ts)
-    return EstimateSequence(batch_prefix_mean(s.values[None, :])[0], 1, s.n)
+    return prefix_estimates(EstimatorSpec("mean"), ts)
 
 
 def prefix_median(ts: SeriesLike) -> EstimateSequence:
     """Running medians; even-length prefixes use the midpoint of the two
     central order statistics."""
-    s = as_series(ts)
-    return EstimateSequence(batch_prefix_median(s.values[None, :])[0], 1, s.n)
+    return prefix_estimates(EstimatorSpec("median"), ts)
 
 
 def prefix_autocov(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateSequence:
@@ -381,38 +402,22 @@ def prefix_autocov(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateS
     divisor "full_n" divides the lag-k sum by t (the usual gamma-hat);
     "n_minus_lag" divides by t - k.
     """
-    s = as_series(ts)
-    vals = batch_prefix_autocov(s.values[None, :], k, divisor)[0]
-    return EstimateSequence(vals, _autocov_first_valid(k), s.n)
+    return prefix_estimates(EstimatorSpec("acov", lag=k, divisor=divisor), ts)
 
 
 def prefix_autocorr(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateSequence:
     """Running lag-k autocorrelations, prefixes k+2..n."""
-    s = as_series(ts)
-    vals, ok = batch_prefix_autocorr(s.values[None, :], k, divisor)
-    if not ok[0]:
-        raise DegenerateVarianceError(
-            "a prefix variance vanished; autocorrelation undefined"
-        )
-    return EstimateSequence(vals[0], _autocov_first_valid(k), s.n)
+    return prefix_estimates(EstimatorSpec("acf", lag=k, divisor=divisor), ts)
 
 
 def prefix_spectral_mean(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
     """Running spectral averages of the prefix periodogram, prefixes 4..n."""
-    s = as_series(ts)
-    vals, _ = batch_prefix_spectral(s.values[None, :], phi, ratio=False)
-    return EstimateSequence(vals[0], SPECTRAL_FIRST_VALID, s.n)
+    return prefix_estimates(EstimatorSpec("specmean", x=phi.x), ts)
 
 
 def prefix_spectral_ratio(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
     """Running normalized spectral averages (relative to total mass)."""
-    s = as_series(ts)
-    vals, ok = batch_prefix_spectral(s.values[None, :], phi, ratio=True)
-    if not ok[0]:
-        raise DegenerateVarianceError(
-            "a prefix variance vanished; spectral ratio undefined"
-        )
-    return EstimateSequence(vals[0], SPECTRAL_FIRST_VALID, s.n)
+    return prefix_estimates(EstimatorSpec("specratio", x=phi.x), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +519,12 @@ def prefix_lad_ar(ts: SeriesLike, p: int) -> EstimateSequence:
 
 
 def prefix_estimates(spec: EstimatorSpec, ts: SeriesLike) -> EstimateSequence:
-    """Evaluate any estimator spec on one series."""
+    """Evaluate any estimator spec on one series; the scalar estimators run
+    as a batch of one."""
     s = as_series(ts)
-    if spec.kind == "mean":
-        return prefix_mean(s)
-    if spec.kind == "median":
-        return prefix_median(s)
-    if spec.kind == "acov":
-        return prefix_autocov(s, spec.lag, spec.divisor)
-    if spec.kind == "acf":
-        return prefix_autocorr(s, spec.lag, spec.divisor)
-    if spec.kind == "specmean":
-        return prefix_spectral_mean(s, spec.phi())
-    if spec.kind == "specratio":
-        return prefix_spectral_ratio(s, spec.phi())
-    return prefix_lad_ar(s, spec.order)
+    if spec.kind == "ladar":
+        return prefix_lad_ar(s, spec.order)
+    vals, first_valid, ok = batch_prefix_values(spec, s.values[None, :])
+    if not ok[0]:
+        raise DegenerateVarianceError(f"a prefix variance vanished; {spec.canonical()} undefined")
+    return EstimateSequence(vals[0], first_valid, s.n)

@@ -80,9 +80,11 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     check_k(n, k)
     big_n = n - k
     s_values = np.arange(k + 2, n + 1)
-    c = np.stack(
-        [_autocov_grid(x, j, "full_n", k + 2) for j in range(1, k + 1)], axis=2
-    )  # (B, S, k)
+    c = _autocov_grid(x, list(range(1, k + 1)), "full_n", k + 2)  # (B, S, k)
+    # the statistic does not change with the scale of c; fixing it keeps J,
+    # which grows as the fourth power of the data's scale, within range
+    size = np.abs(c).max(axis=(1, 2), keepdims=True)
+    c = c / np.where(size > 0.0, size, 1.0)
     c_full = c[:, -1, :]
     u = (s_values - k).astype(np.float64)
     dev = (c - c_full[:, None, :]) * u[None, :, None]

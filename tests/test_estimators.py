@@ -13,6 +13,7 @@ from selfnorm.core import DegenerateVarianceError, RngStream, ValidationError
 from selfnorm.estimators import (
     EstimatorSpec,
     PhiSpec,
+    batch_prefix_spectral,
     batch_prefix_values,
     fourier_coeffs,
     prefix_autocorr,
@@ -246,6 +247,121 @@ class TestLadAr:
         losses = np.abs(y[:, None] - a[:, None] * grid[None, :]).sum(axis=0)
         best = grid[np.argmin(losses)]
         assert seq.final[0] == pytest.approx(best, abs=2e-4)
+
+
+def _two_pass_acov_table(x):
+    """gamma[t][k] for every prefix t and lag k < t: centre x[:t] by its own
+    mean in two passes (the second removes the rounding of the first), then
+    math.fsum the lagged products; a constant prefix is exactly zero."""
+    x = [float(v) for v in x]
+    table = {}
+    for t in range(1, len(x) + 1):
+        m = math.fsum(x[:t]) / t
+        d = [v - m for v in x[:t]]
+        m = math.fsum(d) / t
+        d = [0.0] * t if min(x[:t]) == max(x[:t]) else [v - m for v in d]
+        table[t] = [math.fsum(d[j] * d[j + k] for j in range(t - k)) / t
+                    for k in range(t)]
+    return table
+
+
+def _two_pass_oracle(spec, x):
+    """Prefix values of a lag or spectral spec from _two_pass_acov_table."""
+    gamma = _two_pass_acov_table(x)
+    ts = range(spec.first_valid(), len(x) + 1)
+    if spec.kind in ("acov", "acf"):
+        num = [gamma[t][spec.lag] for t in ts]
+        den = [gamma[t][0] for t in ts] if spec.kind == "acf" else None
+    else:
+        g = fourier_coeffs(spec.phi(), len(x))
+        num = [math.fsum(g[k] * gamma[t][k] for k in range(t)) for t in ts]
+        den = [gamma[t][0] / 2.0 for t in ts] if spec.kind == "specratio" else None
+    num = np.array(num)
+    if den is None:
+        return num, np.array([gamma[t][0] for t in ts])
+    return num / np.array(den), np.ones(len(num))
+
+
+class TestLevelOffsetAndScale:
+    """The prefix-sum kernels must not cancel under a level offset: every
+    target is shift-invariant, and the ratios are scale-invariant.  Errors
+    are relative to the prefix variance (acov, specmean) or to 1 (acf and
+    specratio, which it bounds)."""
+
+    TARGETS = ["acov:0", "acov:1", "acf:1", "specmean:pi/2", "specratio:pi/2"]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("offset,tol", [(1e6, 1e-9), (1e8, 1e-6)])
+    def test_offset_matches_two_pass_oracle(self, target, offset, tol):
+        spec = EstimatorSpec.parse(target)
+        x = _SERIES + offset
+        values, _, ok = batch_prefix_values(spec, x[None, :])
+        expect, scale = _two_pass_oracle(spec, x)
+        assert ok[0]
+        assert np.max(np.abs(values[0] - expect) / scale) <= tol
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("a", [1e150, 1e-150])
+    def test_extreme_scales(self, target, a):
+        spec = EstimatorSpec.parse(target)
+        power = 0 if spec.kind in ("acf", "specratio") else 2
+        base, _, _ = batch_prefix_values(spec, _SERIES[None, :])
+        scaled, _, ok = batch_prefix_values(spec, a * _SERIES[None, :])
+        assert ok[0]
+        _, scale = _two_pass_oracle(spec, _SERIES)
+        assert np.max(np.abs(scaled[0] / a**power - base[0]) / scale) <= 1e-12
+
+    def test_offset_autocorrelation_not_degenerate(self):
+        seq = prefix_autocorr(_SERIES + 1e8, 1)
+        np.testing.assert_allclose(seq.estimates[:, 0],
+                                   prefix_autocorr(_SERIES, 1).estimates[:, 0],
+                                   atol=1e-6)
+
+
+class TestSpectralBruteForce:
+    """batch_prefix_spectral against per-prefix sum_k g_k gamma_t(k), with
+    two-pass autocovariances, on batches with constant and near-constant
+    rows.  Errors are relative to the prefix's mean square about the
+    full-sample mean, the centring the kernel uses: the prefix variance,
+    plus the squared distance of the prefix mean from the full-sample mean
+    (which only the random-walk row makes large)."""
+
+    @pytest.mark.parametrize("n", [4, 5, 57, 600])
+    def test_every_prefix_and_ok_mask(self, n):
+        gen = np.random.default_rng(n)
+        x = np.stack([
+            gen.standard_normal(n),
+            gen.standard_normal(n).cumsum(),
+            np.full(n, 0.1),  # its mean rounds away from 0.1
+            3.7 + 1e-9 * gen.standard_normal(n),
+        ])
+        gammas = []
+        for row in x:
+            gamma = np.zeros((n + 1, n))
+            for t in range(1, n + 1):
+                # corrected two-pass centring; a constant prefix is exactly 0
+                xs = row[:t] - row[:t].mean()
+                xs = xs - xs.mean() if np.ptp(row[:t]) > 0.0 else 0.0 * xs
+                gamma[t, :t] = np.correlate(xs, xs, "full")[t - 1:] / t
+            gammas.append(gamma[4:])  # prefixes t = 4..n
+        gammas = np.stack(gammas)
+        var = gammas[:, :, 0]
+        t = np.arange(1, n + 1)
+        drift = (np.cumsum(x, axis=1) / t - x.mean(axis=1, keepdims=True))[:, 3:]
+        scale = var + drift**2
+        for cutoff in (0.0, math.pi / 4, math.pi / 2, math.pi):
+            phi = PhiSpec("indicator", x=cutoff)
+            expect = gammas @ fourier_coeffs(phi, n)
+            vals, ok = batch_prefix_spectral(x, phi, ratio=False)
+            assert ok.all()
+            assert np.all(np.abs(vals - expect) <= 1e-12 * scale)
+            den = var / 2.0
+            expect_ok = (den > 1e-14 * den[:, -1:]).all(axis=1) & (den[:, -1] > 0)
+            vals, ok = batch_prefix_spectral(x, phi, ratio=True)
+            np.testing.assert_array_equal(ok, expect_ok)
+            assert np.all(np.isnan(vals[~ok]))
+            err = np.abs(vals[ok] - expect[ok] / den[ok])
+            assert np.all(err <= 1e-12 * scale[ok] / var[ok])
 
 
 class TestBatchAgreement:

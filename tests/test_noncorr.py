@@ -1,5 +1,7 @@
 """Non-correlation tests and the kernel-studentized comparator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,42 @@ class TestRecursiveAndPlainStatistics:
         assert sn_noncorr_stat(y, 2) == pytest.approx(sn_noncorr_stat(x, 2), rel=1e-8)
         assert lobato_stat(y, 2) == pytest.approx(lobato_stat(x, 2), rel=1e-8)
         assert qtilde_stat(y, 2) == pytest.approx(qtilde_stat(x, 2), rel=1e-6)
+
+
+def _two_pass_sn_stat(x, k):
+    """The recursive statistic from its definition: every prefix
+    autocovariance centred in two passes and summed with math.fsum."""
+    x = [float(v) for v in x]
+    n, big_n = len(x), len(x) - k
+    rows = []
+    for s in range(k + 2, n + 1):
+        m = math.fsum(x[:s]) / s
+        d = [v - m for v in x[:s]]
+        m = math.fsum(d) / s
+        d = [v - m for v in d]
+        rows.append([math.fsum(d[i] * d[i + j] for i in range(s - j)) / s
+                     for j in range(1, k + 1)])
+    c = np.array(rows)
+    dev = (c - c[-1]) * (np.arange(k + 2, n + 1) - k)[:, None]
+    j_mat = np.array([[math.fsum(dev[:, a] * dev[:, b]) for b in range(k)]
+                      for a in range(k)]) / big_n**2
+    return big_n * float(c[-1] @ np.linalg.solve(j_mat, c[-1]))
+
+
+class TestLevelOffsetAndScale:
+    """The recursive statistic is affine-invariant; a level offset must not
+    make its prefix autocovariances cancel."""
+
+    @pytest.mark.parametrize("offset,tol", [(1e6, 1e-9), (1e8, 1e-6)])
+    def test_offset_matches_two_pass_oracle(self, offset, tol):
+        from selfnorm.dgp import generate
+        x = generate("ar1:0.5:normal", 80, RngStream(4)) + offset
+        assert sn_noncorr_stat(x, 2) == pytest.approx(_two_pass_sn_stat(x, 2), rel=tol)
+
+    @pytest.mark.parametrize("a", [1e150, 1e-150])
+    def test_extreme_scales(self, a):
+        x = RngStream(6).generator().standard_normal(80)
+        assert sn_noncorr_stat(a * x, 2) == pytest.approx(sn_noncorr_stat(x, 2), rel=1e-12)
 
 
 class TestBandwidth:
