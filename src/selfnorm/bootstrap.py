@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     BlockTooLongError,
@@ -33,6 +32,7 @@ from .core import (
     TooManyDegenerateResamplesError,
     ValidationError,
     as_series,
+    normal_quantile,
 )
 from .estimators import EstimatorSpec, batch_prefix_values, prefix_estimates
 from .inference import (
@@ -204,7 +204,7 @@ def _percentile_interval(root: np.ndarray, est: float, n: int, level: float) -> 
 def _normal_interval(root: np.ndarray, est: float, n: int, level: float) -> tuple[Interval, float]:
     # a degenerate root (constant series) legitimately gives a point interval
     sigma2 = float(np.var(root, ddof=1))
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = normal_quantile(0.5 + level / 2.0)
     half = z * math.sqrt(sigma2 / n)
     return Interval(est - half, est + half), sigma2
 

@@ -27,6 +27,7 @@ from .critvals import (
     DEFAULT_ALPHAS,
     DEFAULT_GRID,
     DEFAULT_SEED,
+    check_table_args,
     default_cache_path,
     default_reps,
     get_quantile,
@@ -158,9 +159,12 @@ def _cmd_test_noncorr(args) -> int:
 
 def _cmd_critvals(args) -> int:
     qs = [args.q] if args.q is not None else list(range(1, 7))
+    # a usage error prints one line: check every argument before the echo
+    for q in qs:
+        check_table_args(q, args.grid, args.reps)
     alphas = set(DEFAULT_ALPHAS)
     if args.alpha is not None:
-        # tables are keyed by the rounded alpha; check it before the echo
+        # tables are keyed by the rounded alpha
         alpha = round(args.alpha, 6)
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {alpha}")

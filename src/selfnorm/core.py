@@ -299,6 +299,29 @@ def quadform_batch(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# Reference quantiles
+# ---------------------------------------------------------------------------
+
+# scipy.special is imported on first use: the self-normalized paths never
+# need it, and importing scipy costs far more than their arithmetic.  Both
+# functions are what scipy.stats evaluates for norm.ppf and chi2.ppf.
+
+def normal_quantile(p: float) -> float:
+    """Standard normal quantile at p, equal to scipy.stats.norm.ppf(p)."""
+    from scipy.special import ndtri
+
+    return float(ndtri(p))
+
+
+def chi2_quantile(k: int, alpha: float) -> float:
+    """Upper alpha quantile of chi-square(k), equal to
+    scipy.stats.chi2.ppf(1 - alpha, df=k)."""
+    from scipy.special import gammaincinv
+
+    return float(2 * gammaincinv(k / 2, 1 - alpha))
+
+
+# ---------------------------------------------------------------------------
 # Counter-seeded RNG streams
 # ---------------------------------------------------------------------------
 

@@ -92,6 +92,19 @@ def _simulate_chunk(stream: RngStream, rows: int, q: int, grid: int) -> tuple[np
     return u_stat_from_increments(z)
 
 
+def check_table_args(q: int, grid: int, reps: Optional[int]) -> int:
+    """Reject an impossible (q, grid, reps); returns reps, defaulted per q."""
+    if q < 1:
+        raise ValidationError("dimension q must be >= 1")
+    if grid < 2 * q:
+        raise ValidationError(f"grid {grid} too coarse for dimension {q}")
+    if reps is None:
+        reps = default_reps(q)
+    if reps < 100:
+        raise ValidationError("need at least 100 replications")
+    return reps
+
+
 def simulate_uq(
     q: int,
     grid: int = DEFAULT_GRID,
@@ -108,14 +121,7 @@ def simulate_uq(
     positive-definite pivot test (essentially impossible for grid >> q) are
     redrawn; more than 0.1% of them failing aborts.
     """
-    if q < 1:
-        raise ValidationError("dimension q must be >= 1")
-    if grid < 2 * q:
-        raise ValidationError(f"grid {grid} too coarse for dimension {q}")
-    if reps is None:
-        reps = default_reps(q)
-    if reps < 100:
-        raise ValidationError("need at least 100 replications")
+    reps = check_table_args(q, grid, reps)
     alphas = tuple(sorted(set(float(a) for a in alphas)))
     for a in alphas:
         _alpha_key(a)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import RngStream, ValidationError
 from .estimators import EstimatorSpec, fourier_coeffs
@@ -202,6 +201,8 @@ def generate_batch(model: ModelSpec | str, n: int, streams: Sequence[RngStream])
             acc += th * x[:, len(theta) - j : x.shape[1] - j]
         x = acc
     if spec.ar:
+        from scipy.signal import lfilter  # costs more to import than to run
+
         denom = np.concatenate(([1.0], -np.asarray(spec.ar)))
         x = lfilter([1.0], denom, x, axis=1)
     return x[:, -n:]

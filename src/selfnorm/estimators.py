@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import fft
 
 from .core import (
     DegenerateVarianceError,
@@ -323,6 +322,25 @@ def batch_prefix_autocorr(
     return _ratio(grid[:, :, 0], grid[:, :, 1])
 
 
+def _fft_len(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length the FFT factors quickly.
+
+    A power of two can be almost twice m and costs more than the 5-smooth
+    length just above m."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def batch_prefix_spectral(
     x: np.ndarray, phi: PhiSpec, ratio: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -346,9 +364,9 @@ def batch_prefix_spectral(
     xc, p = _centered_prefix_sums(x)
     pt, t = p[:, 1:], np.arange(1, n + 1)
     g = fourier_coeffs(phi, n)
-    size = fft.next_fast_len(2 * n - 1, real=True)  # long enough not to wrap
-    g_hat = fft.rfft(g, size)
-    c, d = (fft.irfft(fft.rfft(a, size, axis=1) * g_hat, size, axis=1)[:, :n]
+    size = _fft_len(2 * n - 1)  # long enough not to wrap
+    g_hat = np.fft.rfft(g, size)
+    c, d = (np.fft.irfft(np.fft.rfft(a, size, axis=1) * g_hat, size, axis=1)[:, :n]
             for a in (xc, pt))
     big_g = np.cumsum(g)
     h = np.cumsum(g * p[:, :n], axis=1)

@@ -17,10 +17,16 @@ from functools import partial
 from typing import IO, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bootstrap import MbbConfig, bootstrap_suite
-from .core import NumericalError, RngStream, ValidationError, stream_index_for
+from .core import (
+    NumericalError,
+    RngStream,
+    ValidationError,
+    chi2_quantile,
+    normal_quantile,
+    stream_index_for,
+)
 from .critvals import get_quantile
 from .dgp import generate_batch, parse_model, true_value
 from .estimators import EstimatorSpec, batch_prefix_values, prefix_lad_ar
@@ -226,7 +232,7 @@ _TEST_METHOD_ORDER = ("lobato", "sn", "nw")
 
 def _test_critical_value(method: str, k: int, alpha: float) -> float:
     if method == "nw":
-        return float(stats.chi2.ppf(1.0 - alpha, df=k))
+        return chi2_quantile(k, alpha)
     return get_quantile(k, round(alpha, 6))
 
 
@@ -351,7 +357,7 @@ def run_coverage(
                 halves = np.sqrt(crit * merged["w"] / n)
                 covered = np.abs(merged["center"] - truth) <= halves
             elif method == "eff":
-                z = float(stats.norm.ppf(0.5 + level / 2.0))
+                z = normal_quantile(0.5 + level / 2.0)
                 halves = z * merged["eff_scale"]
                 covered = np.abs(merged["eff_center"] - truth) <= halves
             else:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     DegenerateVarianceError,
@@ -29,6 +28,8 @@ from .core import (
     TooShortError,
     ValidationError,
     as_series,
+    chi2_quantile,
+    normal_quantile,
     quadform_batch,
     quadform_spd,
 )
@@ -103,6 +104,11 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     check_k(n, k)
     big_n = n - k
     xc = x - x.mean(axis=1, keepdims=True)
+    # the statistic does not change with the scale of x; a power-of-two scale
+    # near each row's largest magnitude is exact and keeps J, which grows as
+    # the fourth power of the data's scale, within range
+    _, e = np.frexp(np.abs(xc).max(axis=1, keepdims=True))
+    xc = np.ldexp(xc, -e)
     # full-sample autocovariances (divisor n)
     c_full = np.stack(
         [(xc[:, : n - j] * xc[:, j:]).sum(axis=1) / n for j in range(1, k + 1)],
@@ -226,8 +232,8 @@ def prewhitened_lrv(x: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return v_resid / recolor, bw
 
 
-def qtilde_test(ts: SeriesLike, k: int, alpha: float) -> NoncorrResult:
-    """Wald test of the first k autocorrelations against chi-square(k).
+def qtilde_stat(ts: SeriesLike, k: int) -> float:
+    """Wald statistic of the first k autocorrelations.
 
     The joint long-run variance of the lag products is estimated with AR(1)
     prewhitening and the automatic-bandwidth Bartlett window, then mapped to
@@ -249,13 +255,14 @@ def qtilde_test(ts: SeriesLike, k: int, alpha: float) -> NoncorrResult:
     jac[np.arange(k), np.arange(1, k + 1)] = 1.0 / gamma[0]
     omega = jac @ v @ jac.T
     omega = (omega + omega.T) / 2.0
-    stat = n * quadform_spd(omega, rho)
-    crit = float(stats.chi2.ppf(1.0 - alpha, df=k))
+    return n * quadform_spd(omega, rho)
+
+
+def qtilde_test(ts: SeriesLike, k: int, alpha: float) -> NoncorrResult:
+    """Wald test of the first k autocorrelations against chi-square(k)."""
+    stat = qtilde_stat(ts, k)
+    crit = chi2_quantile(k, alpha)
     return NoncorrResult("nw", k, stat, crit, alpha, stat > crit)
-
-
-def qtilde_stat(ts: SeriesLike, k: int) -> float:
-    return qtilde_test(ts, k, 0.05).statistic
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,7 @@ def efficient_ci(ts: SeriesLike, target: str, level: float = 0.95) -> EfficientC
         var = (float(v[1, 1]) - r * float(v[1, 0]) - r * float(v[0, 1]) + r * r * float(v[0, 0])) / (g0 * g0)
     if not var > 0.0:
         raise DegenerateVarianceError("long-run variance estimate is not positive")
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = normal_quantile(0.5 + level / 2.0)
     half = z * math.sqrt(var / n)
     return EfficientCiResult(
         target=target,

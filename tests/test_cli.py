@@ -22,13 +22,14 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, module=True):
     # the child imports the package under test, not an installed copy
     src = str(Path(selfnorm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "selfnorm", *args],
+    prefix = ["-m", "selfnorm"] if module else []
+    return subprocess.run([sys.executable, *prefix, *args],
                           input=stdin, capture_output=True, text=True,
                           env=env)
 
@@ -220,6 +221,49 @@ class TestCritvals:
         assert r.returncode == 1
         assert r.stderr.splitlines() == [
             "selfnorm: alpha must be in (0, 1), got 0.0"]
+
+    @pytest.mark.parametrize("args,message", [
+        (["--q", "0"], "dimension q must be >= 1"),
+        (["--q", "1", "--grid", "1"], "grid 1 too coarse for dimension 1"),
+    ])
+    def test_table_arguments_are_checked_before_the_echo(self, args, message):
+        r = run_cli(["critvals", *args])
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == [f"selfnorm: {message}"]
+
+
+_SCIPY_FREE = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import selfnorm
+print(scipy_modules())
+import selfnorm.cli
+print(scipy_modules())
+for args in (["ci", "--stat", "mean"], ["ci", "--stat", "specratio:pi/2"],
+             ["test-noncorr", "--k", "2", "--method", "sn"],
+             ["test-noncorr", "--k", "2", "--method", "lobato"]):
+    assert selfnorm.cli.main([*args, sys.argv[1]]) == 0
+    print(scipy_modules(), file=sys.stderr)
+"""
+
+
+class TestStartup:
+    def test_serving_path_does_not_import_scipy(self, tmp_path, m1_series):
+        # warm the tables the requests read, then run them in a fresh interpreter
+        from selfnorm.critvals import get_quantile
+
+        get_quantile(1, 0.05)
+        get_quantile(2, 0.05)
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        r = run_cli(["-c", _SCIPY_FREE, str(path)], module=False)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[:2] == ["[]", "[]"]
+        assert [line for line in r.stderr.splitlines()
+                if not line.startswith("# selfnorm")] == ["[]"] * 4
 
 
 class TestSimulate:

@@ -17,7 +17,9 @@ from selfnorm.core import (
     TooShortError,
     ValidationError,
     as_series,
+    chi2_quantile,
     chol_solve_batch,
+    normal_quantile,
     quadform_batch,
     quadform_spd,
     read_series,
@@ -182,3 +184,22 @@ class TestEstimateSequence:
             EstimateSequence(np.array([1.0, 2.0]), first_valid=5, n_eff=5)
         seq = EstimateSequence(np.array([[1.0, 2.0]]), first_valid=5, n_eff=5)
         assert seq.dim == 2
+
+
+class TestReferenceQuantiles:
+    """The scipy.special formulas reproduce scipy.stats bit for bit."""
+
+    def test_normal_quantile_matches_norm_ppf(self):
+        from scipy import stats
+
+        levels = np.concatenate([np.arange(1, 10000) / 10000, [0.9, 0.95, 0.99]])
+        for level in levels:
+            p = 0.5 + float(level) / 2.0
+            assert normal_quantile(p) == float(stats.norm.ppf(p)), level
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1])
+    def test_chi2_quantile_matches_chi2_ppf(self, alpha):
+        from scipy import stats
+
+        for k in range(1, 11):
+            assert chi2_quantile(k, alpha) == float(stats.chi2.ppf(1 - alpha, df=k)), k

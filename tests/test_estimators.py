@@ -13,6 +13,7 @@ from selfnorm.core import DegenerateVarianceError, RngStream, ValidationError
 from selfnorm.estimators import (
     EstimatorSpec,
     PhiSpec,
+    _fft_len,
     batch_prefix_spectral,
     batch_prefix_values,
     fourier_coeffs,
@@ -426,3 +427,20 @@ class TestEquivariance:
         base = prefix_lad_ar(x, 1).estimates[:, 0]
         scaled = prefix_lad_ar(a * x, 1).estimates[:, 0]
         np.testing.assert_allclose(scaled, base, atol=5e-6)
+
+
+def test_fft_len_is_the_next_5_smooth_number():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    # walking down from a 5-smooth bound, the next 5-smooth number >= m
+    nxt = 12150  # 2 * 3^5 * 5^2
+    assert smooth(nxt)
+    for m in range(nxt, 0, -1):
+        if smooth(m):
+            nxt = m
+        if m <= 12000:
+            assert _fft_len(m) == nxt, m

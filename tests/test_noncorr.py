@@ -14,6 +14,7 @@ from selfnorm.core import (
     RngStream,
     ValidationError,
 )
+from selfnorm import noncorr
 from selfnorm.noncorr import (
     _ar1_coefficient,
     bartlett_lrv,
@@ -128,6 +129,11 @@ class TestLevelOffsetAndScale:
         x = RngStream(6).generator().standard_normal(80)
         assert sn_noncorr_stat(a * x, 2) == pytest.approx(sn_noncorr_stat(x, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("a", [1e150, 1e-150])
+    def test_lobato_extreme_scales(self, a):
+        x = RngStream(6).generator().standard_normal(80)
+        assert lobato_stat(a * x, 2) == pytest.approx(lobato_stat(x, 2), rel=1e-12)
+
 
 class TestBandwidth:
     def test_floor_is_one_for_flat_autocovariance(self):
@@ -188,6 +194,16 @@ class TestQtilde:
     def test_too_short_rejected(self):
         with pytest.raises(Exception):
             qtilde_test(np.arange(5.0), 3, 0.05)
+
+    def test_statistic_needs_no_critical_value(self, monkeypatch):
+        x = RngStream(8).generator().standard_normal(400)
+        expected = qtilde_test(x, 3, 0.05).statistic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("qtilde_stat evaluated a chi-square quantile")
+
+        monkeypatch.setattr(noncorr, "chi2_quantile", refuse)
+        assert qtilde_stat(x, 3) == expected
 
 
 class TestEfficientCi:
