@@ -58,7 +58,6 @@ from .inference import (
 )
 from .critvals import (
     CritvalTable,
-    ensure_default_cache,
     get_quantile,
     load_table,
     simulate_uq,
@@ -122,7 +121,6 @@ __all__ = [
     "ValidationError",
     "as_series",
     "efficient_ci",
-    "ensure_default_cache",
     "fourier_coeffs",
     "generate",
     "generate_batch",

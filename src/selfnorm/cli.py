@@ -265,8 +265,8 @@ def build_parser() -> _Parser:
     tn.add_argument("--alpha", type=float, default=0.05)
     tn.set_defaults(fn=_cmd_test_noncorr)
 
-    cv = sub.add_parser("critvals", help="query or warm the pivot critical-value cache")
-    cv.add_argument("--q", type=int, default=None, help="dimension (default: warm 1..6)")
+    cv = sub.add_parser("critvals", help="query the pivot critical-value tables; simulate only keys not shipped")
+    cv.add_argument("--q", type=int, default=None, help="dimension (default: 1..6)")
     cv.add_argument("--alpha", type=float, default=None)
     cv.add_argument("--grid", type=int, default=DEFAULT_GRID)
     cv.add_argument("--reps", type=int, default=None, help=f"simulation draws (default {default_reps(1)} for q<=5)")

@@ -3,13 +3,18 @@
 The pivot converges to U_q = B_q(1)' V_q^{-1} B_q(1) where B_q is a
 q-dimensional standard Brownian motion and V_q integrates the outer product
 of its bridge.  No closed form exists, so quantiles are simulated from
-discretized Brownian paths and cached as JSON.  Nothing here is hand-entered:
-deleting the cache and regenerating reproduces identical bytes for the same
+discretized Brownian paths and cached as JSON.  The tables for q = 1..6 at
+the default grid, seed, replications and alphas ship with the package in
+``critvals_default.json``, written by ``selfnorm critvals`` itself, so the
+default path simulates nothing.  Nothing here is hand-entered: deleting a
+cache and regenerating reproduces identical bytes for the same
 (q, grid, reps, seed).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
 import json
 import os
 import tempfile
@@ -18,6 +23,11 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # no advisory locks: concurrent stores may still race
+    fcntl = None
 
 from .core import NumericalError, RngStream, ValidationError, quadform_batch
 
@@ -186,12 +196,13 @@ def table_to_json(table: CritvalTable) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _load_cache(path: Path) -> dict:
+def _load_cache(path) -> dict:
     """The cache's contents; a missing or unreadable file is an empty cache,
-    which the next store overwrites."""
-    if not path.exists():
+    which the next store overwrites.  ``path`` may be any readable
+    ``Path``-like traversable, such as a packaged resource."""
+    if not path.is_file():
         return {"version": 1, "tables": {}}
-    with open(path, "r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError:  # not JSON (or not UTF-8)
@@ -202,7 +213,6 @@ def _load_cache(path: Path) -> dict:
 
 
 def _store_cache(path: Path, data: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -213,6 +223,26 @@ def _store_cache(path: Path, data: dict) -> None:
             os.unlink(tmp)
 
 
+@functools.cache
+def _shipped_tables() -> dict:
+    """The default tables shipped with the package.  Never written at run
+    time, so one read serves the process; callers must not mutate it."""
+    return _load_cache(importlib.resources.files(__package__) / "critvals_default.json")["tables"]
+
+
+def _add_table(path: Path, key: str, entry: dict) -> None:
+    """Store one table, keeping every table another process stored since
+    this one last read the cache: re-read and merge under an exclusive lock
+    on the sidecar ``<path>.lock``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path.with_name(path.name + ".lock"), "a") as lock:
+        if fcntl is not None:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        data = _load_cache(path)
+        data["tables"][key] = entry
+        _store_cache(path, data)
+
+
 def load_table(
     q: int,
     grid: int = DEFAULT_GRID,
@@ -221,11 +251,12 @@ def load_table(
     alphas: Iterable[float] = DEFAULT_ALPHAS,
     cache_path: Optional[Path] = None,
 ) -> CritvalTable:
-    """Fetch a quantile table, simulating and caching it on first use.
+    """Fetch a quantile table: the user cache first, then the tables shipped
+    with the package, then simulation, whose result goes to the user cache.
 
-    A cached table missing some requested alpha is regenerated with the
-    union of alphas; the shared seed keeps previously stored quantiles
-    bit-identical.
+    A table missing some requested alpha is regenerated with the union of
+    alphas; the shared seed keeps previously stored quantiles bit-identical.
+    The shipped file is only read.
     """
     if reps is None:
         reps = default_reps(q)
@@ -234,6 +265,8 @@ def load_table(
     key = _table_key(q, grid, reps, seed)
     want = tuple(sorted(set(float(a) for a in alphas)))
     entry = data["tables"].get(key)
+    if entry is None:
+        entry = _shipped_tables().get(key)
     if entry is not None:
         have = {k: float(v) for k, v in entry["quantiles"].items()}
         if all(_alpha_key(a) in have for a in want):
@@ -241,8 +274,7 @@ def load_table(
             return CritvalTable(q, grid, reps, seed, quantiles)
         want = tuple(sorted(set(want) | {float(k) for k in have}))
     table = simulate_uq(q, grid, reps, seed, alphas=want)
-    data["tables"][key] = json.loads(table_to_json(table))
-    _store_cache(path, data)
+    _add_table(path, key, json.loads(table_to_json(table)))
     return table
 
 
@@ -257,15 +289,3 @@ def get_quantile(
     """Upper alpha quantile of U_q from the cache (simulating if needed)."""
     alphas = set(DEFAULT_ALPHAS) | {float(alpha)}
     return load_table(q, grid, reps, seed, alphas, cache_path).quantile(alpha)
-
-
-def ensure_default_cache(
-    qs: Iterable[int] = range(1, 7),
-    cache_path: Optional[Path] = None,
-    reps_override: Optional[int] = None,
-) -> Path:
-    """Populate the cache for the standard dimensions and alphas."""
-    path = Path(cache_path) if cache_path is not None else default_cache_path()
-    for q in qs:
-        load_table(q, reps=reps_override, cache_path=path)
-    return path

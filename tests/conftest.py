@@ -3,7 +3,7 @@
 The critical-value cache is redirected to a session-scoped temporary file so
 tests never read or write the user's real cache, and so every test (and every
 CLI subprocess, which inherits the environment) shares one simulation of each
-quantile table.
+quantile table the package does not ship.
 """
 
 import os

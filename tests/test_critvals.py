@@ -1,10 +1,17 @@
 """Simulated critical-value tables: determinism, caching, invariances."""
 
+import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selfnorm
+from selfnorm import critvals
 from selfnorm.critvals import (
     DEFAULT_ALPHAS,
     DEFAULT_GRID,
@@ -14,8 +21,20 @@ from selfnorm.critvals import (
     get_quantile,
     load_table,
     simulate_uq,
+    table_to_json,
     u_stat_from_increments,
 )
+
+SHIPPED = importlib.resources.files("selfnorm") / "critvals_default.json"
+TOY_KEYS = {f"q={q}|grid=150|reps=3000|seed=9" for q in (1, 2)}
+
+
+def _default_key(q):
+    return f"q={q}|grid={DEFAULT_GRID}|reps={default_reps(q)}|seed={DEFAULT_SEED}"
+
+
+def _shipped():
+    return json.loads(SHIPPED.read_text(encoding="utf-8"))["tables"]
 
 
 class TestUStatistic:
@@ -119,3 +138,99 @@ class TestPublishedValues:
         assert table.quantile(0.05) == pytest.approx(45.40, abs=0.5)
         assert table.grid == DEFAULT_GRID
         assert table.seed == DEFAULT_SEED
+
+
+class TestShippedTables:
+    def test_q1_entry_is_the_simulated_bytes(self):
+        shipped = json.dumps(_shipped()[_default_key(1)], sort_keys=True)
+        assert table_to_json(simulate_uq(1)) == shipped
+
+    def test_holds_exactly_the_default_tables(self):
+        tables = _shipped()
+        assert set(tables) == {_default_key(q) for q in range(1, 7)}
+        for q in range(1, 7):
+            entry = tables[_default_key(q)]
+            assert (entry["q"], entry["grid"], entry["reps"], entry["seed"]) == (
+                q, DEFAULT_GRID, default_reps(q), DEFAULT_SEED)
+            assert set(entry["quantiles"]) == {f"{a:.6f}" for a in DEFAULT_ALPHAS}
+
+    def test_default_lookups_simulate_nothing(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated a shipped table")
+
+        monkeypatch.setattr(critvals, "simulate_uq", fail)
+        cache = tmp_path / "cache.json"
+        tables = _shipped()
+        for q in range(1, 7):
+            expected = tables[_default_key(q)]["quantiles"]["0.050000"]
+            assert get_quantile(q, 0.05, cache_path=cache) == expected
+        assert not cache.exists()
+
+    def test_user_cache_is_served_first(self, tmp_path):
+        toy = simulate_uq(1, grid=150, reps=3000, seed=9)
+        entry = {"q": 1, "grid": DEFAULT_GRID, "reps": default_reps(1), "seed": DEFAULT_SEED,
+                 "quantiles": {f"{a:.6f}": v for a, v in toy.quantiles.items()}}
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"version": 1, "tables": {_default_key(1): entry}}))
+        shipped = _shipped()[_default_key(1)]["quantiles"]["0.050000"]
+        value = get_quantile(1, 0.05, cache_path=cache)
+        assert value == toy.quantile(0.05)
+        assert value != shipped
+
+    def test_new_alpha_stores_the_union_in_the_user_cache(self, tmp_path, monkeypatch):
+        calls = []
+        real = critvals.simulate_uq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(critvals, "simulate_uq", counted)
+        before = SHIPPED.read_bytes()
+        cache = tmp_path / "cache.json"
+        value = get_quantile(1, 0.2, cache_path=cache)
+        assert len(calls) == 1
+        stored = json.loads(cache.read_text())["tables"][_default_key(1)]["quantiles"]
+        shipped = _shipped()[_default_key(1)]["quantiles"]
+        assert set(stored) == set(shipped) | {"0.200000"}
+        assert {k: stored[k] for k in shipped} == shipped
+        assert stored["0.200000"] == value
+        assert SHIPPED.read_bytes() == before
+        assert get_quantile(1, 0.2, cache_path=cache) == value
+        assert len(calls) == 1
+
+
+class TestConcurrentWriters:
+    @pytest.mark.parametrize("locking", [True, False])
+    def test_store_keeps_a_table_stored_meanwhile(self, tmp_path, monkeypatch, locking):
+        if not locking:  # platforms without fcntl still merge on store
+            monkeypatch.setattr(critvals, "fcntl", None)
+        cache = tmp_path / "cache.json"
+        real = critvals.simulate_uq
+
+        def writer_a_simulates(*args, **kwargs):
+            # writer A has read the empty cache; writer B stores its table now
+            monkeypatch.setattr(critvals, "simulate_uq", real)
+            load_table(2, grid=150, reps=3000, seed=9, cache_path=cache)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(critvals, "simulate_uq", writer_a_simulates)
+        load_table(1, grid=150, reps=3000, seed=9, cache_path=cache)
+        assert set(json.loads(cache.read_text())["tables"]) == TOY_KEYS
+
+    def test_two_processes_on_one_cache(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        src = str(Path(selfnorm.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "selfnorm", "critvals", "--q", str(q), "--grid", "150",
+                 "--reps", "3000", "--seed", "9", "--cache", str(cache)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+            for q in (1, 2)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+        assert set(json.loads(cache.read_text())["tables"]) == TOY_KEYS
