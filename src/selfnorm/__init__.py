@@ -66,9 +66,11 @@ from .noncorr import (
     EfficientCiResult,
     NoncorrResult,
     efficient_ci,
+    efficient_variance_batch,
     lobato_stat,
     lobato_test,
     qtilde_stat,
+    qtilde_stat_batch,
     qtilde_test,
     sn_noncorr_stat,
     sn_noncorr_test,
@@ -121,6 +123,7 @@ __all__ = [
     "ValidationError",
     "as_series",
     "efficient_ci",
+    "efficient_variance_batch",
     "fourier_coeffs",
     "generate",
     "generate_batch",
@@ -142,6 +145,7 @@ __all__ = [
     "prefix_spectral_mean",
     "prefix_spectral_ratio",
     "qtilde_stat",
+    "qtilde_stat_batch",
     "qtilde_test",
     "read_series",
     "run_block_sweep",

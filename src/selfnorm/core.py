@@ -244,12 +244,10 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, ok = chol_solve_batch(a[None], b[None])
     if not ok[0]:
         raise NotPositiveDefiniteError()
-    x = x[0]
-    scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b)
-    resid = np.linalg.norm(a @ x - b)
-    if resid > RESIDUAL_RTOL * max(scale, np.finfo(np.float64).tiny):
-        raise SolverFailedError(f"solve residual {resid:.3e} exceeds tolerance")
-    return x
+    resid = solve_residual_batch(a[None], b[None], x)[0]
+    if not resid <= RESIDUAL_RTOL:
+        raise SolverFailedError(f"relative solve residual {resid:.3e} exceeds tolerance")
+    return x[0]
 
 
 def quadform_spd(a: np.ndarray, v: np.ndarray) -> float:
@@ -290,6 +288,13 @@ def chol_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
         x[:, i] = (y[:, i] - np.einsum("mk,mk->m", lower[:, i + 1:, i], x[:, i + 1:])) / lower[:, i, i]
     x = np.where(ok[:, None], x, np.nan)
     return x, ok
+
+
+def solve_residual_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Residual |a x - b| / (|a| |x| + |b|) per row of a batched solve."""
+    scale = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(x, axis=1) + np.linalg.norm(b, axis=1)
+    resid = np.linalg.norm(np.einsum("mij,mj->mi", a, x) - b, axis=1)
+    return resid / np.maximum(scale, np.finfo(np.float64).tiny)
 
 
 def quadform_batch(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -202,11 +202,11 @@ def _load_cache(path) -> dict:
     ``Path``-like traversable, such as a packaged resource."""
     if not path.is_file():
         return {"version": 1, "tables": {}}
-    with path.open("r", encoding="utf-8") as fh:
-        try:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except ValueError:  # not JSON (or not UTF-8)
-            data = None
+    except (OSError, ValueError):  # unreadable, not JSON or not UTF-8
+        data = None
     if not isinstance(data, dict) or not isinstance(data.get("tables"), dict):
         return {"version": 1, "tables": {}}
     return data
@@ -217,6 +217,10 @@ def _store_cache(path: Path, data: dict) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(data, fh, sort_keys=True, indent=1)
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

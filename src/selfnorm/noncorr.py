@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RESIDUAL_RTOL,
     DegenerateVarianceError,
     NotPositiveDefiniteError,
     SeriesLike,
@@ -29,9 +30,11 @@ from .core import (
     ValidationError,
     as_series,
     chi2_quantile,
+    chol_solve_batch,
     normal_quantile,
     quadform_batch,
     quadform_spd,
+    solve_residual_batch,
 )
 from .estimators import _autocov_grid
 from .inference import Interval
@@ -151,111 +154,157 @@ def lobato_test(ts: SeriesLike, k: int, alpha: float, critval: float) -> Noncorr
 
 
 # ---------------------------------------------------------------------------
-# Automatic bandwidth and kernel long-run variance
+# Kernel long-run variance: one batched primitive over (B, n) rows, whose
+# sums along time are all (a * b).sum(axis=-1); scalar paths are batches of one
 # ---------------------------------------------------------------------------
 
-def nw_bandwidth(x: np.ndarray) -> int:
-    """Automatic Bartlett bandwidth (weights-one rule) for a scalar series.
-
-    Pilot truncation L = floor(2 (n/100)^{2/9}); bandwidth
-    min(n-1, ceil(1.1447 ((s1/s0)^2)^{1/3} n^{1/3})), floored at 1.
-    A non-positive s0 falls back to bandwidth 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+def _nw_bandwidths(u: np.ndarray) -> np.ndarray:
+    """Automatic Bartlett bandwidth (weights-one rule) of each row of u (B, n):
+    pilot truncation L = floor(2 (n/100)^{2/9}), bandwidth min(n-1,
+    ceil(1.1447 ((s1/s0)^2)^{1/3} n^{1/3})), floored at 1; 1 if s0 <= 0."""
+    b, n = u.shape
     if n < 2:
-        return 1
-    xc = x - x.mean()
+        return np.ones(b, dtype=np.int64)
+    uc = u - u.mean(axis=1, keepdims=True)
     big_l = min(int(math.floor(2.0 * (n / 100.0) ** (2.0 / 9.0))), n - 1)
-    acov = np.array([(xc[: n - j] * xc[j:]).sum() / n for j in range(big_l + 1)])
-    s0 = acov[0] + 2.0 * acov[1:].sum()
-    if not s0 > 0.0:
-        return 1
-    s1 = 2.0 * (np.arange(1, big_l + 1) * acov[1:]).sum()
-    bw = math.ceil(1.1447 * ((s1 / s0) ** 2) ** (1.0 / 3.0) * n ** (1.0 / 3.0))
-    return max(1, min(n - 1, bw))
+    acov = np.stack([(uc[:, : n - j] * uc[:, j:]).sum(axis=1) / n for j in range(big_l + 1)], 1)
+    s0 = acov[:, 0] + 2.0 * acov[:, 1:].sum(axis=1)
+    s1 = 2.0 * (np.arange(1, big_l + 1) * acov[:, 1:]).sum(axis=1)
+    # scalar pow: numpy's array power may round differently, and bw is a ceiling
+    bw = [math.ceil(1.1447 * ((a / c) ** 2) ** (1.0 / 3.0) * n ** (1.0 / 3.0)) if c > 0.0 else 1
+          for a, c in zip(s1.tolist(), s0.tolist())]
+    return np.clip(np.array(bw, dtype=np.int64), 1, n - 1)
+
+
+def _lag_products(xc: np.ndarray, k: int) -> np.ndarray:
+    """(B, k+1, n-k) products xc[:, t] * xc[:, t-j], t = k+1..n, j = 0..k,
+    of the centred rows xc (B, n); each component is centred over t."""
+    b, n = xc.shape
+    w = np.empty((b, k + 1, n - k))
+    for j in range(k + 1):
+        np.multiply(xc[:, k:], xc[:, k - j : n - j], out=w[:, j])
+    w -= w.mean(axis=-1, keepdims=True)
+    return w
+
+
+def _ar1_coefficients(w: np.ndarray, cap: float = 0.97) -> np.ndarray:
+    """AR(1) coefficient of each centred series along w's last axis, capped."""
+    denom = (w[..., :-1] * w[..., :-1]).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.clip((w[..., 1:] * w[..., :-1]).sum(axis=-1) / denom, -cap, cap)
+    return np.where(denom > 0.0, a, 0.0)
+
+
+def _bartlett_window(wc: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """Bartlett lag-window long-run covariance (B, d, d) of the centred rows
+    wc (B, d, m): lag j < min(bw[b], m) gets weight 1 - j/bw[b]; divisor m.
+    The rows come sorted by bandwidth, descending, so lag j touches only the
+    prefix of rows with bw > j: no row pays for another row's bandwidth."""
+    b, d, m = wc.shape
+    v = np.empty((b, d, d))
+    for i in range(d):
+        for c in range(i, d):
+            v[:, i, c] = v[:, c, i] = (wc[:, i] * wc[:, c]).sum(axis=-1) / m
+    for j in range(1, min(int(bw[0]), m) if b else 0):
+        rows = int(np.count_nonzero(bw > j))
+        gamma = np.empty((rows, d, d))
+        for i in range(d):
+            for c in range(d):
+                gamma[:, i, c] = (wc[:rows, i, j:] * wc[:rows, c, : m - j]).sum(axis=-1) / m
+        weight = 1.0 - j / bw[:rows]
+        v[:rows] += weight[:, None, None] * (gamma + gamma.transpose(0, 2, 1))
+    return v
+
+
+def _kernel_lrv(xc: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Long-run covariance (B, k+1, k+1) of the lag-0..k products of the
+    centred rows xc (B, n), and each row's bandwidth.  Each component is
+    prewhitened by its own AR(1) fit; the bandwidth comes from the summed
+    residuals.  With recolor the window acts on the residuals and entry (i, j)
+    is divided by (1 - a_i)(1 - a_j); without, on the products themselves."""
+    w = _lag_products(xc, k)
+    coef = _ar1_coefficients(w)
+    u = w[:, 0, 1:] - w[:, 0, :-1] * coef[:, :1]
+    for j in range(1, k + 1):
+        u += w[:, j, 1:] - w[:, j, :-1] * coef[:, j : j + 1]
+    bw = _nw_bandwidths(u)
+    del w, u
+    # rebuild the products in bandwidth order rather than hold a permuted copy
+    order = np.argsort(-bw, kind="stable")
+    coef, bw = coef[order], bw[order]
+    w = _lag_products(xc[order], k)
+    if recolor:
+        for j in range(k + 1):
+            w[:, j, 1:] -= w[:, j, :-1] * coef[:, j : j + 1]
+        w = w[:, :, 1:]
+        w -= w.mean(axis=-1, keepdims=True)
+    v = _bartlett_window(w, bw)
+    if recolor:
+        v /= (1.0 - coef)[:, :, None] * (1.0 - coef)[:, None, :]
+    back = np.argsort(order)
+    return v[back], bw[back]
+
+
+def nw_bandwidth(x: np.ndarray) -> int:
+    """Automatic Bartlett bandwidth (weights-one rule) for a scalar series."""
+    return int(_nw_bandwidths(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def bartlett_lrv(w: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Bartlett lag-window long-run covariance of the rows of w (m, d).
-
-    Columns are demeaned; lag j gets weight max(0, 1 - j/bandwidth); the
-    divisor is the number of rows.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 1:
-        w = w[:, None]
-    m = w.shape[0]
-    wc = w - w.mean(axis=0, keepdims=True)
-    v = wc.T @ wc / m
-    for j in range(1, min(bandwidth, m)):
-        weight = 1.0 - j / bandwidth
-        if weight <= 0.0:
-            break
-        gamma_j = wc[j:].T @ wc[:-j] / m
-        v = v + weight * (gamma_j + gamma_j.T)
-    return (v + v.T) / 2.0
-
-
-def _ar1_coefficient(w: np.ndarray, cap: float = 0.97) -> float:
-    wc = w - w.mean()
-    denom = float(wc[:-1] @ wc[:-1])
-    if denom <= 0.0:
-        return 0.0
-    a = float(wc[1:] @ wc[:-1]) / denom
-    return max(-cap, min(cap, a))
-
-
-def _lagged_products(x: np.ndarray, k: int) -> np.ndarray:
-    """Rows t = k+1..n of (x_t - mean)(x_{t-j} - mean) for j = 0..k."""
-    n = x.shape[0]
-    xc = x - x.mean()
-    return np.stack([xc[k:] * xc[k - j : n - j] for j in range(k + 1)], axis=1)
+    """Bartlett lag-window long-run covariance of the rows of w (m, d):
+    columns demeaned, lag j weighted max(0, 1 - j/bandwidth), divisor m."""
+    wc = np.array(np.atleast_2d(np.asarray(w, dtype=np.float64).T)[None])
+    wc -= wc.mean(axis=-1, keepdims=True)
+    return _bartlett_window(wc, np.array([bandwidth]))[0]
 
 
 def prewhitened_lrv(x: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """Long-run covariance of the lag-0..k product series with AR(1)
-    prewhitening; returns (V, bandwidth).
+    """(V, bandwidth): long-run covariance of the lag-0..k products of x,
+    AR(1)-prewhitened (coefficients capped at 0.97 in absolute value)."""
+    x = np.asarray(x, dtype=np.float64)
+    v, bw = _kernel_lrv((x - x.mean())[None, :], k, recolor=True)
+    return v[0], int(bw[0])
 
-    Each component is prewhitened by its own AR(1) fit (coefficient capped at
-    0.97 in absolute value); the bandwidth comes from the aggregated
-    (weights-one) residual series; recoloring divides entry (i, j) by
-    (1 - a_i)(1 - a_j).
-    """
-    w = _lagged_products(x, k)
-    w = w - w.mean(axis=0, keepdims=True)
-    coef = np.array([_ar1_coefficient(w[:, j]) for j in range(w.shape[1])])
-    resid = w[1:] - w[:-1] * coef[None, :]
-    bw = nw_bandwidth(resid.sum(axis=1))
-    v_resid = bartlett_lrv(resid, bw)
-    recolor = np.outer(1.0 - coef, 1.0 - coef)
-    return v_resid / recolor, bw
+
+def _delta_parts(x: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, ...]:
+    """Per row of x (B, n): autocovariances gamma_0..k, the first k
+    autocorrelations, their delta-method long-run covariance (B, k, k), and
+    the lag-product covariance V and bandwidth of _kernel_lrv."""
+    b, n = x.shape
+    check_k(n, k)
+    xc = x - x.mean(axis=1, keepdims=True)
+    gamma = np.stack([(xc[:, : n - j] * xc[:, j:]).sum(axis=1) / n for j in range(k + 1)], 1)
+    g0 = gamma[:, :1]
+    v, bw = _kernel_lrv(xc, k, recolor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = gamma[:, 1:] / g0
+        # delta method: d rho_i / d gamma_0 = -rho_i/gamma_0, d rho_i/d gamma_i = 1/gamma_0
+        jac = np.zeros((b, k, k + 1))
+        jac[:, :, 0] = -rho / g0
+        jac[:, np.arange(k), np.arange(1, k + 1)] = 1.0 / g0
+        omega = jac @ v @ jac.transpose(0, 2, 1)
+    return gamma, rho, (omega + omega.transpose(0, 2, 1)) / 2.0, v, bw
+
+
+def qtilde_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batched qtilde_stat; x is (B, n).  Returns (stats, ok); ok is False
+    where qtilde_stat raises (zero variance, failed pivot or residual check)."""
+    gamma, rho, omega, _, _ = _delta_parts(x, k, recolor=True)
+    with np.errstate(invalid="ignore"):
+        sol, ok = chol_solve_batch(omega, rho)
+        ok &= (gamma[:, 0] > 0.0) & (solve_residual_batch(omega, rho, sol) <= RESIDUAL_RTOL)
+    return x.shape[1] * np.einsum("mk,mk->m", rho, sol), ok
 
 
 def qtilde_stat(ts: SeriesLike, k: int) -> float:
-    """Wald statistic of the first k autocorrelations.
-
-    The joint long-run variance of the lag products is estimated with AR(1)
-    prewhitening and the automatic-bandwidth Bartlett window, then mapped to
-    correlations by the delta method.
-    """
+    """Wald statistic of the first k autocorrelations: the long-run variance
+    of the lag products (prewhitened_lrv) maps to correlations by the delta
+    method."""
     s = as_series(ts)
-    check_k(s.n, k)
-    x = s.values
-    n = s.n
-    xc = x - x.mean()
-    gamma = np.array([(xc[: n - j] * xc[j:]).sum() / n for j in range(k + 1)])
-    if not gamma[0] > 0.0:
+    gamma, rho, omega, _, _ = _delta_parts(s.values[None, :], k, recolor=True)
+    if not gamma[0, 0] > 0.0:
         raise DegenerateVarianceError("sample variance is zero")
-    rho = gamma[1:] / gamma[0]
-    v, _ = prewhitened_lrv(x, k)
-    # delta method: d rho_i / d gamma_0 = -rho_i/gamma_0, d rho_i/d gamma_i = 1/gamma_0
-    jac = np.zeros((k, k + 1))
-    jac[:, 0] = -rho / gamma[0]
-    jac[np.arange(k), np.arange(1, k + 1)] = 1.0 / gamma[0]
-    omega = jac @ v @ jac.T
-    omega = (omega + omega.T) / 2.0
-    return n * quadform_spd(omega, rho)
+    return s.n * quadform_spd(omega[0], rho[0])
 
 
 def qtilde_test(ts: SeriesLike, k: int, alpha: float) -> NoncorrResult:
@@ -291,53 +340,37 @@ class EfficientCiResult:
 
 
 def efficient_variance_parts(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Bartlett lag-window covariance V of (w0, w1) = the lag-0 and lag-1
-    demeaned products.  The bandwidth follows the same automatic rule as the
-    Wald test: AR(1) prewhitening per component, then the weights-one formula
-    on the aggregated residual series.  The window itself is applied to the
-    raw products.  Returns (V, bandwidth)."""
-    w = _lagged_products(x, 1)  # columns: lag 0, lag 1; rows t = 2..n
-    coef = np.array([_ar1_coefficient(w[:, j]) for j in range(w.shape[1])])
-    resid = w[1:] - w[:-1] * coef[None, :]
-    bw = nw_bandwidth(resid.sum(axis=1))
-    return bartlett_lrv(w, bw), bw
+    """(V, bandwidth): Bartlett covariance of the lag-0 and lag-1 products of
+    x, with prewhitened_lrv's bandwidth but the window on the raw products."""
+    x = np.asarray(x, dtype=np.float64)
+    v, bw = _kernel_lrv((x - x.mean())[None, :], 1, recolor=False)
+    return v[0], int(bw[0])
+
+
+def efficient_variance_batch(x: np.ndarray, target: str) -> tuple[np.ndarray, ...]:
+    """Batched estimate of gamma(1) or rho(1) and its variance from
+    efficient_variance_parts; x is (B, n).  Returns (estimate, variance,
+    bandwidth, ok); a row is not ok when either variance is not positive."""
+    if target not in ("gamma1", "rho1"):
+        raise ValidationError(f"target must be gamma1 or rho1, got {target!r}")
+    gamma, rho, omega, v, bw = _delta_parts(x, 1, recolor=False)
+    if target == "gamma1":
+        est, var = gamma[:, 1], v[:, 1, 1]
+    else:
+        est, var = rho[:, 0], omega[:, 0, 0]
+    with np.errstate(invalid="ignore"):
+        return est, var, bw, (gamma[:, 0] > 0.0) & (var > 0.0)
 
 
 def efficient_ci(ts: SeriesLike, target: str, level: float = 0.95) -> EfficientCiResult:
-    """Normal-approximation interval for gamma(1) or rho(1) with a kernel
-    long-run variance (the studentized comparator to the self-normalized
-    interval)."""
-    if target not in ("gamma1", "rho1"):
-        raise ValidationError(f"target must be gamma1 or rho1, got {target!r}")
+    """Normal-approximation interval for gamma(1) or rho(1) studentized by a
+    kernel long-run variance: the comparator to the self-normalized interval."""
     if not 0.0 < level < 1.0:
         raise ValidationError("level must be in (0, 1)")
     s = as_series(ts)
-    if s.n < 22:
-        raise TooShortError(s.n, 22)
-    x = s.values
-    n = s.n
-    xc = x - x.mean()
-    g0 = float(xc @ xc) / n
-    g1 = float(xc[1:] @ xc[:-1]) / n
-    if not g0 > 0.0:
-        raise DegenerateVarianceError("sample variance is zero")
-    v, bw = efficient_variance_parts(x)
-    if target == "gamma1":
-        est = g1
-        var = float(v[1, 1])
-    else:
-        r = g1 / g0
-        est = r
-        var = (float(v[1, 1]) - r * float(v[1, 0]) - r * float(v[0, 1]) + r * r * float(v[0, 0])) / (g0 * g0)
-    if not var > 0.0:
-        raise DegenerateVarianceError("long-run variance estimate is not positive")
-    z = normal_quantile(0.5 + level / 2.0)
-    half = z * math.sqrt(var / n)
-    return EfficientCiResult(
-        target=target,
-        estimate=est,
-        variance=var,
-        bandwidth=bw,
-        level=level,
-        interval=Interval(est - half, est + half),
-    )
+    est, var, bw, ok = (a[0] for a in efficient_variance_batch(s.values[None, :], target))
+    if not ok:
+        raise DegenerateVarianceError("sample or long-run variance is not positive")
+    half = normal_quantile(0.5 + level / 2.0) * math.sqrt(var / s.n)
+    est, var = float(est), float(var)
+    return EfficientCiResult(target, est, var, int(bw), level, Interval(est - half, est + half))

@@ -113,6 +113,26 @@ class TestCache:
         tables = json.loads(path.read_text())["tables"]
         assert list(tables) == ["q=1|grid=150|reps=3000|seed=9"]
 
+    def test_stored_file_mode_follows_the_umask(self, tmp_path):
+        path = tmp_path / "cache.json"
+        old = os.umask(0o022)
+        try:
+            critvals._store_cache(path, {"version": 1, "tables": {}})
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_unopenable_cache_file_is_empty(self, tmp_path, monkeypatch):
+        # patched, not chmod 000: a root process opens a mode-000 file
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": 1, "tables": {"k": {}}}))
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        assert critvals._load_cache(path) == {"version": 1, "tables": {}}
+
     def test_missing_alpha_triggers_resimulation(self):
         v = get_quantile(1, 0.2, grid=150, reps=3000, seed=9)
         assert v > 0
