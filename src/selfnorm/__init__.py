@@ -54,6 +54,7 @@ from .inference import (
     sn_interval,
     sn_pivot,
     sn_region,
+    wn_batch,
     wn_matrix,
 )
 from .critvals import (
@@ -162,6 +163,7 @@ __all__ = [
     "stream_index_for",
     "true_value",
     "validate_series",
+    "wn_batch",
     "wn_matrix",
     "write_csv",
     "write_series",

@@ -43,7 +43,7 @@ from .inference import (
     sn_interval,
     sn_pivot,
     sn_region,
-    wn_scalar_batch,
+    wn_batch as wn_scalar_batch,  # alias bound by name in bench/spans.py
 )
 
 
@@ -215,11 +215,9 @@ def _sn_quantile(vals: np.ndarray, est: float, n: int, spec: EstimatorSpec, cfg:
     Resamples with W* <= 0 are dropped and count with the already dropped
     ones toward cfg.max_bad_frac.
     """
-    w = wn_scalar_batch(vals, spec.first_valid(), n)
-    good = w > 0.0
+    _, pivots, good = wn_scalar_batch(vals[:, :, None], spec.first_valid(), n, est)
     _check_bad(dropped + int((~good).sum()), cfg)
-    pivots = n * (vals[good, -1] - est) ** 2 / w[good]
-    return float(np.quantile(pivots, cfg.level))
+    return float(np.quantile(pivots[good], cfg.level))
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +305,24 @@ def bootstrap_suite(
     x: np.ndarray,
     spec: EstimatorSpec,
     cfg: MbbConfig,
-    seq_values: np.ndarray,
-    first_valid: int,
+    est: float,
+    w: float,
 ) -> dict:
     """All three bootstrap intervals from one resample set.
 
-    seq_values/first_valid are the prefix values of the original series
-    (scalar estimators only).  Used by the Monte Carlo sweeps, where drawing
-    three independent resample sets per block length would triple the cost
-    without changing any contract.
+    est and w are the estimate and the self-normalizer W of the original
+    series (scalar estimators only).  Used by the Monte Carlo sweeps, where
+    drawing three independent resample sets per block length would triple
+    the cost without changing any contract.
     """
+    if not w > 0.0:
+        raise DegenerateVarianceError("self-normalizer of the original series is zero")
     n = x.shape[0]
-    est = float(seq_values[-1])
     vals, dropped = _resample_prefix_values(x, spec, cfg)
     root = math.sqrt(n) * (vals[:, -1] - est)
     nrm, _ = _normal_interval(root, est, n, cfg.level)
     ustar = _sn_quantile(vals, est, n, spec, cfg, dropped)
-    w0 = wn_scalar_batch(seq_values[None, :], first_valid, n)[0]
-    if not w0 > 0.0:
-        raise DegenerateVarianceError("self-normalizer of the original series is zero")
-    half_sn = math.sqrt(ustar * w0 / n)
+    half_sn = math.sqrt(ustar * w / n)
     return {
         "mbb-pct": _percentile_interval(root, est, n, cfg.level),
         "mbb-normal": nrm,

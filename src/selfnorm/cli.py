@@ -28,7 +28,6 @@ from .critvals import (
     DEFAULT_GRID,
     DEFAULT_SEED,
     check_table_args,
-    default_cache_path,
     default_reps,
     get_quantile,
     load_table,
@@ -169,7 +168,6 @@ def _cmd_critvals(args) -> int:
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
         alphas.add(alpha)
-    cache = args.cache or default_cache_path()
     repro = f"{_PROG} critvals"
     if args.q is not None:
         repro += f" --q {args.q}"
@@ -186,14 +184,14 @@ def _cmd_critvals(args) -> int:
             reps=args.reps,
             seed=args.seed,
             alphas=sorted(alphas),
-            cache_path=cache,
+            cache_path=args.cache or None,
         )
         payload = {
             "q": q,
             "grid": table.grid,
             "reps": table.reps,
             "seed": table.seed,
-            "cache": str(cache),
+            "cache": table.source,
         }
         if args.alpha is not None:
             payload["alpha"] = alpha

@@ -256,6 +256,11 @@ def quadform_spd(a: np.ndarray, v: np.ndarray) -> float:
     return float(v @ solve_spd(a, v))
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray):
+    """Row-wise dot products of (m, k) arrays; k = 0 gives 0.0 without einsum's fixed cost."""
+    return np.einsum("mk,mk->m", u, v) if u.shape[1] else 0.0
+
+
 def chol_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched SPD solve: a is (m, q, q), b is (m, q).
 
@@ -272,7 +277,7 @@ def chol_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lower = np.zeros_like(a)
     ok = np.isfinite(a).all(axis=(1, 2))
     for j in range(q):
-        pivot = a[:, j, j] - np.einsum("mk,mk->m", lower[:, j, :j], lower[:, j, :j])
+        pivot = a[:, j, j] - _row_dots(lower[:, j, :j], lower[:, j, :j])
         good = pivot > tol
         ok &= good
         safe = np.where(good, pivot, 1.0)
@@ -282,10 +287,10 @@ def chol_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
             lower[:, j + 1:, j] = num / lower[:, j, j][:, None]
     y = np.zeros_like(b)
     for i in range(q):
-        y[:, i] = (b[:, i] - np.einsum("mk,mk->m", lower[:, i, :i], y[:, :i])) / lower[:, i, i]
+        y[:, i] = (b[:, i] - _row_dots(lower[:, i, :i], y[:, :i])) / lower[:, i, i]
     x = np.zeros_like(y)
     for i in range(q - 1, -1, -1):
-        x[:, i] = (y[:, i] - np.einsum("mk,mk->m", lower[:, i + 1:, i], x[:, i + 1:])) / lower[:, i, i]
+        x[:, i] = (y[:, i] - _row_dots(lower[:, i + 1:, i], x[:, i + 1:])) / lower[:, i, i]
     x = np.where(ok[:, None], x, np.nan)
     return x, ok
 

@@ -18,7 +18,7 @@ import importlib.resources
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -56,7 +56,8 @@ def default_cache_path() -> Path:
 
 @dataclass(frozen=True)
 class CritvalTable:
-    """Simulated upper quantiles of U_q for one (q, grid, reps, seed)."""
+    """Simulated upper quantiles of U_q for one (q, grid, reps, seed); source
+    is the file load_table read the table from or stored it in."""
 
     q: int
     grid: int
@@ -64,6 +65,7 @@ class CritvalTable:
     seed: int
     quantiles: dict[float, float]
     sample: Optional[np.ndarray] = field(default=None, compare=False)
+    source: Optional[str] = field(default=None, compare=False)
 
     def quantile(self, alpha: float) -> float:
         key = _alpha_key(alpha)
@@ -228,10 +230,12 @@ def _store_cache(path: Path, data: dict) -> None:
 
 
 @functools.cache
-def _shipped_tables() -> dict:
-    """The default tables shipped with the package.  Never written at run
-    time, so one read serves the process; callers must not mutate it."""
-    return _load_cache(importlib.resources.files(__package__) / "critvals_default.json")["tables"]
+def _shipped_tables() -> tuple[str, dict]:
+    """The file of default tables shipped with the package, and its tables.
+    Never written at run time, so one read serves the process; callers must
+    not mutate the tables."""
+    path = importlib.resources.files(__package__) / "critvals_default.json"
+    return str(path), _load_cache(path)["tables"]
 
 
 def _add_table(path: Path, key: str, entry: dict) -> None:
@@ -268,18 +272,19 @@ def load_table(
     data = _load_cache(path)
     key = _table_key(q, grid, reps, seed)
     want = tuple(sorted(set(float(a) for a in alphas)))
-    entry = data["tables"].get(key)
+    entry, source = data["tables"].get(key), str(path)
     if entry is None:
-        entry = _shipped_tables().get(key)
+        source, shipped = _shipped_tables()
+        entry = shipped.get(key)
     if entry is not None:
         have = {k: float(v) for k, v in entry["quantiles"].items()}
         if all(_alpha_key(a) in have for a in want):
             quantiles = {float(k): v for k, v in have.items()}
-            return CritvalTable(q, grid, reps, seed, quantiles)
+            return CritvalTable(q, grid, reps, seed, quantiles, source=source)
         want = tuple(sorted(set(want) | {float(k) for k in have}))
     table = simulate_uq(q, grid, reps, seed, alphas=want)
     _add_table(path, key, json.loads(table_to_json(table)))
-    return table
+    return replace(table, source=str(path))
 
 
 def get_quantile(

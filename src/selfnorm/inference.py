@@ -18,33 +18,46 @@ from .core import (
     EstimateSequence,
     NotPositiveDefiniteError,
     TooFewPrefixesError,
+    quadform_batch,
     quadform_spd,
     solve_spd,
 )
 
 
-def wn_matrix(seq: EstimateSequence) -> np.ndarray:
-    """Self-normalizer W = N^{-2} sum_t t^2 (est_t - est_N)(est_t - est_N)'.
+def _gram_quadform(dev: np.ndarray, center: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(W, n center' W^{-1} center, ok) with W = n^{-2} dev' dev per row of
+    the weighted deviations dev (B, rows, q); ok is False where W is not
+    positive definite, and the pivot is NaN there."""
+    w = np.einsum("bmi,bmj->bij", dev, dev) / (float(n) * float(n))
+    quad, ok = quadform_batch(w, center)
+    return w, n * quad, ok
 
-    Prefixes below first_valid simply do not contribute.  The result is
-    symmetrized to kill rounding asymmetry (within 1e-12 of symmetric by
-    construction).
+
+def wn_batch(values: np.ndarray, first_valid: int, n_eff: int, theta0=0.0) -> tuple[np.ndarray, ...]:
+    """Self-normalizer and pivot of a batch of prefix trajectories.
+
+    values is (B, rows, q), row m holding the estimate from the first
+    first_valid + m observations.  Returns (w, pivot, ok): the (B, q, q)
+    W = N^{-2} sum_t t^2 (est_t - est_N)(est_t - est_N)', the (B,) pivot
+    N (est_N - theta0)' W^{-1} (est_N - theta0), and ok False where W is not
+    positive definite.  W, the Gram of the t-weighted deviations, is exactly
+    symmetric.
     """
+    values = np.asarray(values, dtype=np.float64)
+    t = np.arange(first_valid, n_eff + 1, dtype=np.float64)
+    dev = values - values[:, -1:, :]
+    dev *= t[:, None]
+    return _gram_quadform(dev, values[:, -1, :] - theta0, n_eff)
+
+
+def wn_matrix(seq: EstimateSequence) -> np.ndarray:
+    """Self-normalizer W = N^{-2} sum_t t^2 (est_t - est_N)(est_t - est_N)';
+    a batch of one through wn_batch.  Prefixes below first_valid simply do
+    not contribute."""
     rows = seq.estimates.shape[0]
     if rows < 2:
         raise TooFewPrefixesError(rows)
-    n = seq.n_eff
-    t = np.arange(seq.first_valid, n + 1, dtype=np.float64)
-    dev = seq.estimates - seq.estimates[-1]
-    w = np.einsum("m,mi,mj->ij", t * t, dev, dev) / (float(n) * float(n))
-    return (w + w.T) / 2.0
-
-
-def wn_scalar_batch(values: np.ndarray, first_valid: int, n_eff: int) -> np.ndarray:
-    """W for a batch of scalar prefix trajectories: values is (B, rows)."""
-    t = np.arange(first_valid, n_eff + 1, dtype=np.float64)
-    dev = values - values[:, -1][:, None]
-    return np.einsum("m,bm,bm->b", t * t, dev, dev) / (float(n_eff) ** 2)
+    return wn_batch(seq.estimates[None], seq.first_valid, seq.n_eff)[0][0]
 
 
 def sn_pivot(seq: EstimateSequence, theta0: np.ndarray) -> float:
@@ -55,18 +68,6 @@ def sn_pivot(seq: EstimateSequence, theta0: np.ndarray) -> float:
     w = wn_matrix(seq)
     diff = seq.final - theta0
     return seq.n_eff * quadform_spd(w, diff)
-
-
-def sn_pivot_scalar_batch(
-    values: np.ndarray, first_valid: int, n_eff: int, theta0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched scalar pivot; returns (pivots, ok) with ok False where W <= 0."""
-    w = wn_scalar_batch(values, first_valid, n_eff)
-    diff = values[:, -1] - theta0
-    ok = w > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        piv = n_eff * diff * diff / w
-    return np.where(ok, piv, np.nan), ok
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .core import (
 from .critvals import get_quantile
 from .dgp import generate_batch, parse_model, true_value
 from .estimators import EstimatorSpec, batch_prefix_values, prefix_lad_ar
-from .inference import sn_pivot, wn_scalar_batch
+from .inference import sn_pivot, wn_batch as wn_scalar_batch  # alias bound by name in bench/spans.py
 from .noncorr import (
     efficient_ci,  # noqa: F401  (bound by name in bench/spans.py)
     efficient_variance_batch,
@@ -151,11 +151,11 @@ def _coverage_chunk(
     if not np.all(ok):
         raise NumericalError(f"{int(np.sum(~ok))} degenerate estimate paths")
     if "sn" in methods:
-        w = wn_scalar_batch(vals, fv, n)
-        if not np.all(w > 0.0):
-            raise NumericalError(f"{int(np.sum(w <= 0.0))} zero self-normalizers")
+        w, _, ok = wn_scalar_batch(vals[:, :, None], fv, n)
+        if not np.all(ok):
+            raise NumericalError(f"{int(np.sum(~ok))} zero self-normalizers")
         out["center"] = vals[:, -1]
-        out["w"] = w
+        out["w"] = w[:, 0, 0]
     if "eff" in methods:
         if spec.kind == "acov" and spec.lag == 1:
             eff_target = "gamma1"
@@ -200,10 +200,10 @@ def _sweep_chunk(
         vals, fv, ok = batch_prefix_values(spec, row[None, :])
         if not ok[0]:
             raise NumericalError("degenerate estimate path in bootstrap sweep")
-        w0 = wn_scalar_batch(vals, fv, n)[0]
-        if not w0 > 0.0:
+        w, _, ok = wn_scalar_batch(vals[:, :, None], fv, n)
+        if not ok[0]:
             raise NumericalError("zero self-normalizer in bootstrap sweep")
-        center = vals[0, -1]
+        center, w0 = vals[0, -1], w[0, 0, 0]
         half = math.sqrt(sn_critval * w0 / n)
         out[("sn", "cover")][r] = abs(center - truth) <= half
         out[("sn", "width")][r] = 2.0 * half
@@ -215,7 +215,7 @@ def _sweep_chunk(
                 seed=boot_seed,
                 level=level,
             )
-            suite = bootstrap_suite(row, spec, cfg, vals[0], fv)
+            suite = bootstrap_suite(row, spec, cfg, center, w0)
             for name in schemes:
                 interval = suite[name]
                 out[(name, "cover")][r, j] = interval.contains(truth)

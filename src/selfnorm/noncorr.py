@@ -32,12 +32,12 @@ from .core import (
     chi2_quantile,
     chol_solve_batch,
     normal_quantile,
-    quadform_batch,
+    quadform_batch,  # noqa: F401  (bound by name in bench/spans.py)
     quadform_spd,
     solve_residual_batch,
 )
 from .estimators import _autocov_grid
-from .inference import Interval
+from .inference import Interval, _gram_quadform, wn_batch
 
 
 @dataclass(frozen=True)
@@ -82,19 +82,13 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     """
     b, n = x.shape
     check_k(n, k)
-    big_n = n - k
-    s_values = np.arange(k + 2, n + 1)
     c = _autocov_grid(x, list(range(1, k + 1)), "full_n", k + 2)  # (B, S, k)
-    # the statistic does not change with the scale of c; fixing it keeps J,
+    # the statistic does not change with the scale of c; fixing it keeps W,
     # which grows as the fourth power of the data's scale, within range
     size = np.abs(c).max(axis=(1, 2), keepdims=True)
     c = c / np.where(size > 0.0, size, 1.0)
-    c_full = c[:, -1, :]
-    u = (s_values - k).astype(np.float64)
-    dev = (c - c_full[:, None, :]) * u[None, :, None]
-    j_mat = np.einsum("bsk,bsj->bkj", dev, dev) / (float(big_n) ** 2)
-    quad, ok = quadform_batch(j_mat, c_full)
-    return big_n * quad, ok
+    # prefix s carries weight s - k = 2..N
+    return wn_batch(c, 2, n - k)[1:]
 
 
 def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +102,7 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     big_n = n - k
     xc = x - x.mean(axis=1, keepdims=True)
     # the statistic does not change with the scale of x; a power-of-two scale
-    # near each row's largest magnitude is exact and keeps J, which grows as
+    # near each row's largest magnitude is exact and keeps W, which grows as
     # the fourth power of the data's scale, within range
     _, e = np.frexp(np.abs(xc).max(axis=1, keepdims=True))
     xc = np.ldexp(xc, -e)
@@ -120,10 +114,8 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     z = np.stack(
         [xc[:, :big_n] * xc[:, j : j + big_n] for j in range(1, k + 1)], axis=2
     )  # (B, N, k)
-    s = np.cumsum(z - c_full[:, None, :], axis=1)
-    j_mat = np.einsum("btk,btj->bkj", s, s) / (float(big_n) ** 2)
-    quad, ok = quadform_batch(j_mat, c_full)
-    return big_n * quad, ok
+    # S_t = t (mean of z_1..z_t - c_full): deviations already weighted by t
+    return _gram_quadform(np.cumsum(z - c_full[:, None, :], axis=1), c_full, big_n)[1:]
 
 
 def sn_noncorr_stat(ts: SeriesLike, k: int) -> float:

@@ -15,7 +15,7 @@ from selfnorm.core import RngStream
 from selfnorm.critvals import simulate_uq
 from selfnorm.dgp import generate_batch
 from selfnorm.estimators import EstimatorSpec, batch_prefix_values, prefix_mean
-from selfnorm.inference import sn_pivot, sn_pivot_scalar_batch, wn_matrix
+from selfnorm.inference import sn_pivot, wn_batch, wn_matrix
 from selfnorm.montecarlo import (
     run_block_sweep,
     run_coverage,
@@ -61,7 +61,7 @@ class TestAcceptance:
         base = RngStream(31415)
         x = generate_batch("iidn", 500, [base.child("rep", i) for i in range(5000)])
         values, first, _ = batch_prefix_values(EstimatorSpec.parse("mean"), x)
-        piv, ok = sn_pivot_scalar_batch(values, first, 500, 0.0)
+        _, piv, ok = wn_batch(values[:, :, None], first, 500, 0.0)
         assert bool(np.all(ok))
         ref = simulate_uq(1, grid=1000, reps=50000, seed=99991,
                           keep_sample=True).sample

@@ -14,6 +14,7 @@ from selfnorm.core import (
 )
 from selfnorm.critvals import get_quantile
 from selfnorm.estimators import EstimatorSpec, prefix_estimates
+from selfnorm.inference import wn_matrix
 from selfnorm import bootstrap
 from selfnorm.bootstrap import (
     MbbConfig,
@@ -166,7 +167,7 @@ class TestSuite:
         x = RngStream(20).generator().standard_normal(60)
         cfg = MbbConfig(block_length=5, replications=400, seed=1234, level=0.9)
         seq = prefix_estimates(_MEAN, x)
-        suite = bootstrap_suite(x, _MEAN, cfg, seq.estimates[:, 0], seq.first_valid)
+        suite = bootstrap_suite(x, _MEAN, cfg, float(seq.final[0]), wn_matrix(seq)[0, 0])
         builders = {
             "mbb-pct": mbb_percentile_ci,
             "mbb-normal": mbb_normal_ci,

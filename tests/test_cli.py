@@ -4,6 +4,7 @@ Each command runs in a child process of the interpreter that runs the suite,
 importing the same ``selfnorm`` package as the tests, so no install is needed.
 """
 
+import importlib.resources
 import json
 import os
 import subprocess
@@ -215,6 +216,15 @@ class TestCritvals:
                             "quantile"}
         assert out["cache"] == os.environ["SELFNORM_CRITVAL_CACHE"]
         assert out["quantile"] == pytest.approx(45.4, rel=0.1)
+
+    def test_shipped_table_reports_the_shipped_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "fresh" / "cache.json"
+        monkeypatch.setenv("SELFNORM_CRITVAL_CACHE", str(cache))
+        r = run_cli(["critvals", "--q", "2"])
+        assert r.returncode == 0, r.stderr
+        shipped = importlib.resources.files("selfnorm") / "critvals_default.json"
+        assert json.loads(r.stdout)["cache"] == str(shipped)
+        assert not cache.exists()
 
     def test_alpha_rounding_to_zero_is_a_usage_error(self):
         r = run_cli(["critvals", "--q", "1", "--alpha", "1e-7"])

@@ -24,6 +24,7 @@ from selfnorm.critvals import (
     table_to_json,
     u_stat_from_increments,
 )
+from selfnorm.inference import wn_batch
 
 SHIPPED = importlib.resources.files("selfnorm") / "critvals_default.json"
 TOY_KEYS = {f"q={q}|grid=150|reps=3000|seed=9" for q in (1, 2)}
@@ -56,6 +57,18 @@ class TestUStatistic:
         u, ok = u_stat_from_increments(rng.standard_normal((32, 1, 40)))
         assert ok.all()
         assert (u > 0).all()
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_is_the_sn_pivot_of_the_running_means(self, rng, q):
+        # U_q is the self-normalized pivot of the mean (theta0 = 0) on the
+        # increments: the tables are the limit law of the statistic
+        grid = 1000
+        z = rng.standard_normal((40, q, grid))
+        u, ok = u_stat_from_increments(z)
+        means = np.cumsum(z, axis=2) / np.arange(1, grid + 1)
+        _, pivot, ok_sn = wn_batch(np.swapaxes(means, 1, 2), 1, grid)
+        assert ok.all() and ok_sn.all()
+        np.testing.assert_allclose(pivot, u, rtol=1e-12)
 
 
 class TestSimulation:

@@ -17,10 +17,9 @@ from selfnorm.estimators import EstimatorSpec, batch_prefix_values, prefix_mean
 from selfnorm.inference import (
     sn_interval,
     sn_pivot,
-    sn_pivot_scalar_batch,
     sn_region,
+    wn_batch,
     wn_matrix,
-    wn_scalar_batch,
 )
 
 _ONE_TO_FIVE = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -76,17 +75,46 @@ class TestPivot:
         moved = sn_pivot(prefix_mean(c * x + d), c * 0.1 + d)
         assert moved == pytest.approx(base, rel=1e-8)
 
-    def test_batch_matches_single(self, rng):
-        x = rng.standard_normal((5, 40))
-        spec = EstimatorSpec.parse("mean")
-        values, first_valid, _ = batch_prefix_values(spec, x)
-        piv, ok = sn_pivot_scalar_batch(values, first_valid, 40, theta0=0.0)
-        assert ok.all()
-        for i in range(5):
-            assert piv[i] == pytest.approx(sn_pivot(prefix_mean(x[i]), 0.0), rel=1e-12)
-        np.testing.assert_allclose(
-            wn_scalar_batch(values, first_valid, 40),
-            [wn_matrix(prefix_mean(row))[0, 0] for row in x], rtol=1e-12)
+
+def _ar1_rows(rng, rows, n, phi=0.6):
+    x = rng.standard_normal((rows, n))
+    for t in range(1, n):
+        x[:, t] += phi * x[:, t - 1]
+    return x
+
+
+def _trajectories(x, q):
+    """(B, rows, q) prefix trajectories with their first_valid: the mean for
+    q = 1, else the acov:1..q stack on the prefixes where every lag is valid."""
+    if q == 1:
+        values, fv, _ = batch_prefix_values(EstimatorSpec.parse("mean"), x)
+        return values[:, :, None], fv
+    parts = [batch_prefix_values(EstimatorSpec.parse(f"acov:{j}"), x) for j in range(1, q + 1)]
+    fv = max(p[1] for p in parts)
+    return np.stack([v[:, fv - f:] for v, f, _ in parts], axis=-1), fv
+
+
+class TestWnBatch:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_mixed_batch_matches_single(self, rng, q):
+        n = 60
+        values, fv = _trajectories(_ar1_rows(rng, 6, n), q)
+        const = 3
+        values = np.insert(values, const, 0.7, axis=0)  # a constant trajectory
+        theta0 = np.linspace(-0.1, 0.1, q)
+        w, piv, ok = wn_batch(values, fv, n, theta0)
+        assert w.shape == (7, q, q) and piv.shape == ok.shape == (7,)
+        assert list(np.flatnonzero(~ok)) == [const]
+        np.testing.assert_array_equal(w, np.swapaxes(w, 1, 2))  # no symmetrization
+        for i in np.flatnonzero(ok):
+            seq = EstimateSequence(values[i], fv, n)
+            np.testing.assert_allclose(w[i], wn_matrix(seq), rtol=1e-12)
+            assert piv[i] == pytest.approx(sn_pivot(seq, theta0), rel=1e-12)
+        # a row's result does not depend on the other rows of the batch
+        w_rest, piv_rest, ok_rest = wn_batch(np.delete(values, const, axis=0), fv, n, theta0)
+        assert ok_rest.all()
+        np.testing.assert_array_equal(w_rest, np.delete(w, const, axis=0))
+        np.testing.assert_array_equal(piv_rest, np.delete(piv, const))
 
 
 class TestInterval:
