@@ -8,9 +8,9 @@ ceil(n/l) blocks of length l uniformly and truncate the concatenation to n,
 so a fractional last block is used when l does not divide n.
 
 Degenerate resamples: a resample whose estimate is undefined (a vanished
-prefix variance, a failed fit) is redrawn up to max_retries times and then
+prefix variance, a failed fit) is redrawn up to MAX_RETRIES times and then
 dropped.  The self-normalized scheme also drops resamples whose normalizer
-W* is not positive, without redrawing them.  More than max_bad_frac of the
+W* is not positive, without redrawing them.  More than MAX_BAD_FRAC of the
 replications dropped, for either reason, raises
 TooManyDegenerateResamplesError.
 """
@@ -46,22 +46,18 @@ from .inference import (
     wn_batch as wn_scalar_batch,  # alias bound by name in bench/spans.py
 )
 
+MAX_RETRIES = 5  # redraws of a resample with an undefined estimate
+MAX_BAD_FRAC = 0.05  # largest share of replications that may be dropped
+
 
 @dataclass(frozen=True)
 class MbbConfig:
-    """Block length, resample count, seed, and degenerate-resample policy.
-
-    max_retries bounds the redraws of a resample with an undefined estimate;
-    max_bad_frac is the largest share of replications that may be dropped
-    (see the module docstring).
-    """
+    """Block length, resample count, seed, and level of a bootstrap interval."""
 
     block_length: int
     replications: int = 1000
     seed: int = 0
     level: float = 0.95
-    max_retries: int = 5
-    max_bad_frac: float = 0.05
 
     def __post_init__(self):
         if self.block_length < 1:
@@ -142,7 +138,7 @@ def mbb_resample(ts: SeriesLike, block_length: int, rng: Union[RngStream, np.ran
 # ---------------------------------------------------------------------------
 
 def _check_bad(bad: int, cfg: MbbConfig) -> None:
-    if bad > cfg.max_bad_frac * cfg.replications:
+    if bad > MAX_BAD_FRAC * cfg.replications:
         raise TooManyDegenerateResamplesError(bad, cfg.replications)
 
 
@@ -154,7 +150,7 @@ def _resample(
     """Evaluate cfg.replications resamples of x; returns (values, dropped).
 
     evaluate maps a (rows, n) matrix of resamples to (values, ok), one entry
-    per row.  Rows with ok False are redrawn up to cfg.max_retries times,
+    per row.  Rows with ok False are redrawn up to MAX_RETRIES times,
     then dropped; values holds the kept rows only.
     """
     n = x.shape[0]
@@ -162,7 +158,7 @@ def _resample(
         raise BlockTooLongError(cfg.block_length, n)
     gen = RngStream(cfg.seed).child("mbb", cfg.block_length).generator()
     vals, ok = evaluate(_draw(x, cfg.block_length, cfg.replications, gen))
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         bad = np.flatnonzero(~ok)
         if bad.size == 0:
             break
@@ -213,7 +209,7 @@ def _sn_quantile(vals: np.ndarray, est: float, n: int, spec: EstimatorSpec, cfg:
     """Bootstrap quantile of the scalar pivot n (est* - est)^2 / W*.
 
     Resamples with W* <= 0 are dropped and count with the already dropped
-    ones toward cfg.max_bad_frac.
+    ones toward MAX_BAD_FRAC.
     """
     _, pivots, good = wn_scalar_batch(vals[:, :, None], spec.first_valid(), n, est)
     _check_bad(dropped + int((~good).sum()), cfg)

@@ -210,12 +210,6 @@ class EstimateSequence:
         """Full-sample estimate (last row)."""
         return self.estimates[-1]
 
-    def at(self, t: int) -> np.ndarray:
-        """Estimate using the first t observations."""
-        if not self.first_valid <= t <= self.n_eff:
-            raise ValidationError(f"prefix {t} outside {self.first_valid}..{self.n_eff}")
-        return self.estimates[t - self.first_valid]
-
 
 # ---------------------------------------------------------------------------
 # Positive-definite solve

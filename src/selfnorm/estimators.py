@@ -112,15 +112,12 @@ class EstimatorSpec:
     lag: int = 0
     x: float = 0.0
     order: int = 0
-    divisor: str = "full_n"  # or "n_minus_lag"
 
     KINDS = ("mean", "median", "acov", "acf", "specmean", "specratio", "ladar")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown estimator kind {self.kind!r}")
-        if self.divisor not in ("full_n", "n_minus_lag"):
-            raise ValidationError(f"unknown divisor {self.divisor!r}")
         if self.kind in ("acov", "acf") and self.lag < 0:
             raise ValidationError("lag must be >= 0")
         if self.kind in ("specmean", "specratio") and not 0.0 <= self.x <= math.pi:
@@ -279,8 +276,9 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok[:, None], vals, np.nan), ok
 
 
-def _autocov_grid(x: np.ndarray, lags: list[int], divisor: str, t_min: int) -> np.ndarray:
-    """(B, n) -> (B, n - t_min + 1, len(lags)) lag-k autocovariances, k in lags.
+def _autocov_grid(x: np.ndarray, lags: list[int], t_min: int) -> np.ndarray:
+    """(B, n) -> (B, n - t_min + 1, len(lags)) lag-k autocovariances, k in lags,
+    divisor t.
 
     On the centred rows of _centered_prefix_sums, with P the prefix sums,
     Q_t = sum_{j<=t-k} x_j x_{j+k} and m_t = P_t / t,
@@ -302,23 +300,20 @@ def _autocov_grid(x: np.ndarray, lags: list[int], divisor: str, t_min: int) -> n
     for i, k in enumerate(lags):
         q = np.cumsum(xc[:, : n - k] * xc[:, k:], axis=1)  # q[:, i] = Q_{i+k+1}
         num = q[:, t_min - k - 1:] - m * (p[:, t_min - k: n + 1 - k] + pt - p[:, k:k + 1])
-        out[:, :, i] = (num + (ts - k) * m * m) / (ts if divisor == "full_n" else ts - k)
+        out[:, :, i] = (num + (ts - k) * m * m) / ts
     return out
 
 
-def batch_prefix_autocov(x: np.ndarray, k: int, divisor: str = "full_n") -> np.ndarray:
+def batch_prefix_autocov(x: np.ndarray, k: int) -> np.ndarray:
     """(B, n) -> (B, n-k-1) prefix autocovariances, prefixes k+2..n."""
-    return _autocov_grid(x, [k], divisor, _autocov_first_valid(k))[:, :, 0]
+    return _autocov_grid(x, [k], _autocov_first_valid(k))[:, :, 0]
 
 
-def batch_prefix_autocorr(
-    x: np.ndarray, k: int, divisor: str = "full_n"
-) -> tuple[np.ndarray, np.ndarray]:
+def batch_prefix_autocorr(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Prefix lag-k autocorrelations; returns (values, ok_rows) as _ratio."""
     if k < 1:
         raise ValidationError("autocorrelation lag must be >= 1")
-    # the lag-0 divisor is t under either convention (t - 0 = t)
-    grid = _autocov_grid(x, [k, 0], divisor, _autocov_first_valid(k))
+    grid = _autocov_grid(x, [k, 0], _autocov_first_valid(k))
     return _ratio(grid[:, :, 0], grid[:, :, 1])
 
 
@@ -389,9 +384,9 @@ def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray,
     if spec.kind == "median":
         return batch_prefix_median(x), 1, all_ok
     if spec.kind == "acov":
-        return batch_prefix_autocov(x, spec.lag, spec.divisor), spec.first_valid(), all_ok
+        return batch_prefix_autocov(x, spec.lag), spec.first_valid(), all_ok
     if spec.kind == "acf":
-        vals, ok = batch_prefix_autocorr(x, spec.lag, spec.divisor)
+        vals, ok = batch_prefix_autocorr(x, spec.lag)
         return vals, spec.first_valid(), ok
     if spec.kind in ("specmean", "specratio"):
         vals, ok = batch_prefix_spectral(x, spec.phi(), spec.kind == "specratio")
@@ -414,18 +409,15 @@ def prefix_median(ts: SeriesLike) -> EstimateSequence:
     return prefix_estimates(EstimatorSpec("median"), ts)
 
 
-def prefix_autocov(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateSequence:
-    """Running mean-corrected lag-k autocovariances, prefixes k+2..n.
-
-    divisor "full_n" divides the lag-k sum by t (the usual gamma-hat);
-    "n_minus_lag" divides by t - k.
-    """
-    return prefix_estimates(EstimatorSpec("acov", lag=k, divisor=divisor), ts)
+def prefix_autocov(ts: SeriesLike, k: int) -> EstimateSequence:
+    """Running mean-corrected lag-k autocovariances, prefixes k+2..n; the
+    lag-k sum of prefix t is divided by t (the usual gamma-hat)."""
+    return prefix_estimates(EstimatorSpec("acov", lag=k), ts)
 
 
-def prefix_autocorr(ts: SeriesLike, k: int, divisor: str = "full_n") -> EstimateSequence:
+def prefix_autocorr(ts: SeriesLike, k: int) -> EstimateSequence:
     """Running lag-k autocorrelations, prefixes k+2..n."""
-    return prefix_estimates(EstimatorSpec("acf", lag=k, divisor=divisor), ts)
+    return prefix_estimates(EstimatorSpec("acf", lag=k), ts)
 
 
 def prefix_spectral_mean(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:

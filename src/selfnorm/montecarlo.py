@@ -96,6 +96,18 @@ def _rate_se(p_fraction: float, reps: int) -> float:
     return 100.0 * math.sqrt(p_fraction * (1.0 - p_fraction) / reps)
 
 
+def _rate_row(model, n, target, method, level_or_alpha, hits, widths=None, block=None):
+    """The ExperimentRow of one cell: the hit rate of its replications in
+    percent, with its binomial standard error, and the mean of widths if
+    given (otherwise mean_width keeps the dataclass default)."""
+    p = float(np.mean(hits))
+    width = {} if widths is None else {"mean_width": float(np.mean(widths))}
+    return ExperimentRow(
+        model, n, target, method, level_or_alpha, 100.0 * p, _rate_se(p, len(hits)),
+        block_length=block, **width,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Chunked replication engine
 # ---------------------------------------------------------------------------
@@ -134,6 +146,17 @@ def _test_stats_chunk(model: str, n: int, ks: tuple, seed: int, lo: int, hi: int
     return out
 
 
+def _sn_parts(spec: EstimatorSpec, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-sample estimates and self-normalizers W of the rows of x."""
+    vals, fv, ok = batch_prefix_values(spec, x)
+    if not np.all(ok):
+        raise NumericalError(f"{int(np.sum(~ok))} degenerate estimate paths")
+    w, _, ok = wn_scalar_batch(vals[:, :, None], fv, n)
+    if not np.all(ok):
+        raise NumericalError(f"{int(np.sum(~ok))} zero self-normalizers")
+    return vals[:, -1], w[:, 0, 0]
+
+
 def _coverage_chunk(
     model: str, n: int, target: str, methods: tuple, seed: int, lo: int, hi: int
 ) -> dict:
@@ -142,20 +165,10 @@ def _coverage_chunk(
     out = {}
     if spec.kind == "ladar":
         truth = np.asarray(true_value(model, spec))
-        pivots = np.empty(x.shape[0])
-        for r, row in enumerate(x):
-            pivots[r] = sn_pivot(prefix_lad_ar(row, spec.order), truth)
-        out["pivot"] = pivots
+        out["pivot"] = np.array([sn_pivot(prefix_lad_ar(row, spec.order), truth) for row in x])
         return out
-    vals, fv, ok = batch_prefix_values(spec, x)
-    if not np.all(ok):
-        raise NumericalError(f"{int(np.sum(~ok))} degenerate estimate paths")
     if "sn" in methods:
-        w, _, ok = wn_scalar_batch(vals[:, :, None], fv, n)
-        if not np.all(ok):
-            raise NumericalError(f"{int(np.sum(~ok))} zero self-normalizers")
-        out["center"] = vals[:, -1]
-        out["w"] = w[:, 0, 0]
+        out["center"], out["w"] = _sn_parts(spec, x, n)
     if "eff" in methods:
         if spec.kind == "acov" and spec.lag == 1:
             eff_target = "gamma1"
@@ -169,6 +182,9 @@ def _coverage_chunk(
         out["eff_center"] = center
         out["eff_scale"] = np.sqrt(var / n)
     return out
+
+
+_BOOT_SCHEMES = ("mbb-pct", "mbb-normal", "mbb-sn")
 
 
 def _sweep_chunk(
@@ -186,40 +202,21 @@ def _sweep_chunk(
     spec = EstimatorSpec.parse(target)
     truth = float(true_value(model, spec))
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
-    m = x.shape[0]
-    nl = len(block_lengths)
-    schemes = ("mbb-pct", "mbb-normal", "mbb-sn")
-    out = {
-        ("sn", "cover"): np.empty(m, dtype=bool),
-        ("sn", "width"): np.empty(m),
-    }
-    for name in schemes:
-        out[(name, "cover")] = np.empty((m, nl), dtype=bool)
-        out[(name, "width")] = np.empty((m, nl))
+    center, w = _sn_parts(spec, x, n)
+    half = np.sqrt(sn_critval * w / n)
+    out = {("sn", "cover"): np.abs(center - truth) <= half, ("sn", "width"): 2.0 * half}
+    shape = (x.shape[0], len(block_lengths))
+    for name in _BOOT_SCHEMES:
+        out[(name, "cover")] = np.empty(shape, dtype=bool)
+        out[(name, "width")] = np.empty(shape)
     for r, row in enumerate(x):
-        vals, fv, ok = batch_prefix_values(spec, row[None, :])
-        if not ok[0]:
-            raise NumericalError("degenerate estimate path in bootstrap sweep")
-        w, _, ok = wn_scalar_batch(vals[:, :, None], fv, n)
-        if not ok[0]:
-            raise NumericalError("zero self-normalizer in bootstrap sweep")
-        center, w0 = vals[0, -1], w[0, 0, 0]
-        half = math.sqrt(sn_critval * w0 / n)
-        out[("sn", "cover")][r] = abs(center - truth) <= half
-        out[("sn", "width")][r] = 2.0 * half
         boot_seed = stream_index_for(seed, "boot", lo + r)
         for j, block in enumerate(block_lengths):
-            cfg = MbbConfig(
-                block_length=block,
-                replications=boot_reps,
-                seed=boot_seed,
-                level=level,
-            )
-            suite = bootstrap_suite(row, spec, cfg, center, w0)
-            for name in schemes:
-                interval = suite[name]
-                out[(name, "cover")][r, j] = interval.contains(truth)
-                out[(name, "width")][r, j] = interval.width
+            cfg = MbbConfig(block_length=block, replications=boot_reps, seed=boot_seed, level=level)
+            suite = bootstrap_suite(row, spec, cfg, center[r], w[r])
+            for name in _BOOT_SCHEMES:
+                out[(name, "cover")][r, j] = suite[name].contains(truth)
+                out[(name, "width")][r, j] = suite[name].width
     return out
 
 
@@ -236,6 +233,18 @@ def _test_critical_value(method: str, k: int, alpha: float) -> float:
     return get_quantile(k, round(alpha, 6))
 
 
+def _test_rows(model: str, n: int, ks, alphas, stats: dict, crit) -> list[ExperimentRow]:
+    """Rejection rows, k by alpha by method; crit(method, k, alpha) is the
+    critical value the statistics stats[(method, k)] are compared with."""
+    rows = []
+    for k in ks:
+        for alpha in alphas:
+            for method in _TEST_METHOD_ORDER:
+                hits = stats[(method, k)] > crit(method, k, alpha)
+                rows.append(_rate_row(model, n, f"noncorr:{k}", method, alpha, hits))
+    return rows
+
+
 def run_size(
     model: str,
     n: int,
@@ -247,24 +256,7 @@ def run_size(
 ) -> list[ExperimentRow]:
     """Null rejection percentages for the three non-correlation tests."""
     merged = _run_chunks(partial(_test_stats_chunk, model, n, tuple(ks), seed), reps, workers)
-    rows = []
-    for k in ks:
-        for alpha in alphas:
-            for method in _TEST_METHOD_ORDER:
-                crit = _test_critical_value(method, k, alpha)
-                p = float(np.mean(merged[(method, k)] > crit))
-                rows.append(
-                    ExperimentRow(
-                        model=model,
-                        n=n,
-                        target=f"noncorr:{k}",
-                        method=method,
-                        level_or_alpha=alpha,
-                        value_pct=100.0 * p,
-                        se_pct=_rate_se(p, reps),
-                    )
-                )
-    return rows
+    return _test_rows(model, n, ks, alphas, merged, _test_critical_value)
 
 
 def _null_companion(model: str) -> str:
@@ -292,24 +284,11 @@ def run_power(
     null_model = _null_companion(model)
     alt = _run_chunks(partial(_test_stats_chunk, model, n, tuple(ks), seed), reps, workers)
     null = _run_chunks(partial(_test_stats_chunk, null_model, n, tuple(ks), seed), reps, workers)
-    rows = []
-    for k in ks:
-        for alpha in alphas:
-            for method in _TEST_METHOD_ORDER:
-                crit = float(np.quantile(null[(method, k)], 1.0 - alpha))
-                p = float(np.mean(alt[(method, k)] > crit))
-                rows.append(
-                    ExperimentRow(
-                        model=model,
-                        n=n,
-                        target=f"noncorr:{k}",
-                        method=method,
-                        level_or_alpha=alpha,
-                        value_pct=100.0 * p,
-                        se_pct=_rate_se(p, reps),
-                    )
-                )
-    return rows
+
+    def crit(method, k, alpha):
+        return float(np.quantile(null[(method, k)], 1.0 - alpha))
+
+    return _test_rows(model, n, ks, alphas, alt, crit)
 
 
 def run_coverage(
@@ -332,24 +311,15 @@ def run_coverage(
     merged = _run_chunks(
         partial(_coverage_chunk, model, n, target, tuple(methods), seed), reps, workers
     )
-    rows = []
+    label = spec.canonical()
     if spec.kind == "ladar":
-        for level in levels:
-            crit = get_quantile(spec.dim, round(1.0 - level, 6))
-            p = float(np.mean(merged["pivot"] <= crit))
-            rows.append(
-                ExperimentRow(
-                    model=model,
-                    n=n,
-                    target=spec.canonical(),
-                    method="sn",
-                    level_or_alpha=level,
-                    value_pct=100.0 * p,
-                    se_pct=_rate_se(p, reps),
-                )
-            )
-        return rows
+        return [
+            _rate_row(model, n, label, "sn", level,
+                      merged["pivot"] <= get_quantile(spec.dim, round(1.0 - level, 6)))
+            for level in levels
+        ]
     truth = float(true_value(model, spec))
+    rows = []
     for level in levels:
         for method in methods:
             if method == "sn":
@@ -362,19 +332,7 @@ def run_coverage(
                 covered = np.abs(merged["eff_center"] - truth) <= halves
             else:
                 raise ValidationError(f"unknown coverage method {method!r}")
-            p = float(np.mean(covered))
-            rows.append(
-                ExperimentRow(
-                    model=model,
-                    n=n,
-                    target=spec.canonical(),
-                    method=method,
-                    level_or_alpha=level,
-                    value_pct=100.0 * p,
-                    se_pct=_rate_se(p, reps),
-                    mean_width=float(np.mean(2.0 * halves)),
-                )
-            )
+            rows.append(_rate_row(model, n, label, method, level, covered, 2.0 * halves))
     return rows
 
 
@@ -392,53 +350,18 @@ def run_block_sweep(
     """Coverage and width of the three bootstrap schemes across block
     lengths, against the plain self-normalized interval (one row, no block
     column)."""
-    spec = EstimatorSpec.parse(target)
+    label = EstimatorSpec.parse(target).canonical()
     crit = get_quantile(1, round(1.0 - level, 6))
-    merged = _run_chunks(
-        partial(
-            _sweep_chunk,
-            model,
-            n,
-            target,
-            seed,
-            level,
-            boot_reps,
-            tuple(block_lengths),
-            crit,
-        ),
-        reps,
-        workers,
+    chunk = partial(
+        _sweep_chunk, model, n, target, seed, level, boot_reps, tuple(block_lengths), crit
     )
-    rows = []
-    p = float(np.mean(merged[("sn", "cover")]))
-    rows.append(
-        ExperimentRow(
-            model=model,
-            n=n,
-            target=spec.canonical(),
-            method="sn",
-            level_or_alpha=level,
-            value_pct=100.0 * p,
-            se_pct=_rate_se(p, reps),
-            mean_width=float(np.mean(merged[("sn", "width")])),
-        )
-    )
+    merged = _run_chunks(chunk, reps, workers)
+    sn_cover, sn_width = merged[("sn", "cover")], merged[("sn", "width")]
+    rows = [_rate_row(model, n, label, "sn", level, sn_cover, sn_width)]
     for j, block in enumerate(block_lengths):
-        for method in ("mbb-pct", "mbb-normal", "mbb-sn"):
-            p = float(np.mean(merged[(method, "cover")][:, j]))
-            rows.append(
-                ExperimentRow(
-                    model=model,
-                    n=n,
-                    target=spec.canonical(),
-                    method=method,
-                    level_or_alpha=level,
-                    value_pct=100.0 * p,
-                    se_pct=_rate_se(p, reps),
-                    mean_width=float(np.mean(merged[(method, "width")][:, j])),
-                    block_length=block,
-                )
-            )
+        for method in _BOOT_SCHEMES:
+            cover, width = merged[(method, "cover")][:, j], merged[(method, "width")][:, j]
+            rows.append(_rate_row(model, n, label, method, level, cover, width, block))
     return rows
 
 

@@ -69,6 +69,13 @@ def check_k(n: int, k: int) -> None:
         raise TooShortError(n, k + 21)
 
 
+def _full_autocov(xc: np.ndarray, lags) -> np.ndarray:
+    """(B, len(lags)) full-sample autocovariances of the centred rows xc
+    (B, n), divisor n."""
+    n = xc.shape[1]
+    return np.stack([(xc[:, : n - j] * xc[:, j:]).sum(axis=1) / n for j in lags], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Self-normalized and fixed-normalizer statistics
 # ---------------------------------------------------------------------------
@@ -82,7 +89,7 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     """
     b, n = x.shape
     check_k(n, k)
-    c = _autocov_grid(x, list(range(1, k + 1)), "full_n", k + 2)  # (B, S, k)
+    c = _autocov_grid(x, list(range(1, k + 1)), k + 2)  # (B, S, k)
     # the statistic does not change with the scale of c; fixing it keeps W,
     # which grows as the fourth power of the data's scale, within range
     size = np.abs(c).max(axis=(1, 2), keepdims=True)
@@ -106,11 +113,7 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # the fourth power of the data's scale, within range
     _, e = np.frexp(np.abs(xc).max(axis=1, keepdims=True))
     xc = np.ldexp(xc, -e)
-    # full-sample autocovariances (divisor n)
-    c_full = np.stack(
-        [(xc[:, : n - j] * xc[:, j:]).sum(axis=1) / n for j in range(1, k + 1)],
-        axis=1,
-    )  # (B, k)
+    c_full = _full_autocov(xc, range(1, k + 1))  # (B, k)
     z = np.stack(
         [xc[:, :big_n] * xc[:, j : j + big_n] for j in range(1, k + 1)], axis=2
     )  # (B, N, k)
@@ -159,7 +162,7 @@ def _nw_bandwidths(u: np.ndarray) -> np.ndarray:
         return np.ones(b, dtype=np.int64)
     uc = u - u.mean(axis=1, keepdims=True)
     big_l = min(int(math.floor(2.0 * (n / 100.0) ** (2.0 / 9.0))), n - 1)
-    acov = np.stack([(uc[:, : n - j] * uc[:, j:]).sum(axis=1) / n for j in range(big_l + 1)], 1)
+    acov = _full_autocov(uc, range(big_l + 1))
     s0 = acov[:, 0] + 2.0 * acov[:, 1:].sum(axis=1)
     s1 = 2.0 * (np.arange(1, big_l + 1) * acov[:, 1:]).sum(axis=1)
     # scalar pow: numpy's array power may round differently, and bw is a ceiling
@@ -265,7 +268,7 @@ def _delta_parts(x: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, ...]
     b, n = x.shape
     check_k(n, k)
     xc = x - x.mean(axis=1, keepdims=True)
-    gamma = np.stack([(xc[:, : n - j] * xc[:, j:]).sum(axis=1) / n for j in range(k + 1)], 1)
+    gamma = _full_autocov(xc, range(k + 1))
     g0 = gamma[:, :1]
     v, bw = _kernel_lrv(xc, k, recolor)
     with np.errstate(divide="ignore", invalid="ignore"):

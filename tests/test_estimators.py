@@ -31,11 +31,10 @@ from selfnorm.estimators import (
 _SERIES = np.random.default_rng(524287).standard_normal(60)
 
 
-def _brute_autocov(x, t, k, divisor):
+def _brute_autocov(x, t, k):
     xs = x[:t]
     m = xs.mean()
-    s = float(((xs[k:] - m) * (xs[:t - k] - m)).sum())
-    return s / (t if divisor == "full_n" else t - k)
+    return float(((xs[k:] - m) * (xs[:t - k] - m)).sum()) / t
 
 
 class TestSpecParsing:
@@ -123,12 +122,11 @@ class TestPrefixAutocov:
         x = RngStream(11).generator().standard_normal(500)
         assert abs(prefix_autocov(x, 1).final[0]) < 0.2
 
-    @pytest.mark.parametrize("divisor", ["full_n", "n_minus_lag"])
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
-    def test_brute_force_prefix_oracle(self, k, divisor):
-        seq = prefix_autocov(_SERIES, k, divisor=divisor)
+    def test_brute_force_prefix_oracle(self, k):
+        seq = prefix_autocov(_SERIES, k)
         for row, t in enumerate(range(seq.first_valid, seq.n_eff + 1)):
-            expect = _brute_autocov(_SERIES, t, k, divisor)
+            expect = _brute_autocov(_SERIES, t, k)
             assert seq.estimates[row, 0] == pytest.approx(expect, abs=1e-12)
 
     def test_lag_too_large(self):
@@ -180,7 +178,7 @@ class TestSpectralMean:
         sm = prefix_spectral_mean(x, phi)
         g = fourier_coeffs(phi, len(x))
         for row, t in enumerate(range(sm.first_valid, sm.n_eff + 1)):
-            gamma = [_brute_autocov(x, t, k, "full_n") for k in range(t)]
+            gamma = [_brute_autocov(x, t, k) for k in range(t)]
             assert sm.estimates[row, 0] == pytest.approx(g[:t] @ gamma, abs=1e-12)
 
     def test_quadrature_oracle_half_band(self):

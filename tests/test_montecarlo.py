@@ -15,6 +15,7 @@ from selfnorm.montecarlo import (
     get_study,
     resolve_reps,
     run_coverage,
+    run_block_sweep,
     run_power,
     run_size,
     run_study,
@@ -23,8 +24,10 @@ from selfnorm.montecarlo import (
 
 
 def _row_key(row):
+    # NaN != NaN, so a missing width is keyed as None
+    width = None if math.isnan(row.mean_width) else row.mean_width
     return (row.model, row.n, row.target, row.method, row.level_or_alpha,
-            row.value_pct, row.se_pct, row.mean_width, row.block_length)
+            row.value_pct, row.se_pct, width, row.block_length)
 
 
 class TestCsv:
@@ -62,6 +65,22 @@ class TestWorkerInvariance:
                       reps=250, seed=78)
         serial = run_size(**kwargs, workers=1)
         parallel = run_size(**kwargs, workers=3)
+        assert [_row_key(r) for r in serial] == [_row_key(r) for r in parallel]
+
+    def test_power_rows_identical_across_worker_counts(self):
+        kwargs = dict(model="ar1:0.3:garch", n=80, ks=(1,), alphas=(0.05,),
+                      reps=250, seed=79)
+        serial = run_power(**kwargs, workers=1)
+        parallel = run_power(**kwargs, workers=2)
+        assert [_row_key(r) for r in serial] == [_row_key(r) for r in parallel]
+
+    def test_sweep_rows_identical_across_worker_counts(self):
+        # 210 replications make two chunks, so the second worker gets one
+        kwargs = dict(model="ar1:0.5:normal", n=50, target="mean", level=0.95,
+                      block_lengths=(2, 5), boot_reps=100, reps=210, seed=80)
+        serial = run_block_sweep(**kwargs, workers=1)
+        parallel = run_block_sweep(**kwargs, workers=2)
+        assert len(serial) == 7  # the sn row, then 3 schemes x 2 blocks
         assert [_row_key(r) for r in serial] == [_row_key(r) for r in parallel]
 
 
