@@ -122,7 +122,8 @@ class TestPrefixAutocov:
         x = RngStream(11).generator().standard_normal(500)
         assert abs(prefix_autocov(x, 1).final[0]) < 0.2
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    # the ids name the divisor: every prefix autocovariance divides by t
+    @pytest.mark.parametrize("k", [0, 1, 2, 5], ids=lambda k: f"{k}-full_n")
     def test_brute_force_prefix_oracle(self, k):
         seq = prefix_autocov(_SERIES, k)
         for row, t in enumerate(range(seq.first_valid, seq.n_eff + 1)):

@@ -11,6 +11,7 @@ from selfnorm.montecarlo import (
     MIN_REPS,
     STUDIES,
     ExperimentRow,
+    _rate_row,
     _rate_se,
     get_study,
     resolve_reps,
@@ -50,6 +51,18 @@ class TestCsv:
     def test_rate_se_hand_value(self):
         assert _rate_se(0.5, 100) == pytest.approx(5.0)
         assert _rate_se(0.0, 50) == 0.0
+
+    def test_rate_row_hand_values(self):
+        row = _rate_row("iidn", 40, "mean", "mbb", 0.9, [True, False, True, True],
+                        widths=[1.0, 2.0, 3.0, 6.0], block=3)
+        assert row == ExperimentRow("iidn", 40, "mean", "mbb", 0.9, 75.0,
+                                    _rate_se(0.75, 4), 3.0, 3)
+
+    def test_rate_row_without_widths(self):
+        row = _rate_row("iidn", 40, "noncorr:1", "sn", 0.05, [False] * 19 + [True])
+        assert (row.value_pct, row.se_pct) == (5.0, _rate_se(0.05, 20))
+        assert math.isnan(row.mean_width)
+        assert row.block_length is None
 
 
 class TestWorkerInvariance:

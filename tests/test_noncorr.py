@@ -22,6 +22,7 @@ from selfnorm import core, noncorr
 from selfnorm.dgp import generate_batch
 from selfnorm.noncorr import (
     _ar1_coefficients,
+    _full_autocov,
     _lag_products,
     bartlett_lrv,
     check_k,
@@ -372,6 +373,16 @@ _WHITE = ("iidn", "t6", "lognorm", "onedep", "hetero", "nonmds", "garch", "bilin
 
 
 class TestBatchKernelsAgainstOracle:
+    def test_full_autocov_brute_force(self):
+        x = _draws("iidn", 25, 3)
+        xc = x - x.mean(axis=1, keepdims=True)
+        got = _full_autocov(xc, (0, 1, 4))
+        assert got.shape == (3, 3)
+        for b in range(3):
+            for col, j in enumerate((0, 1, 4)):
+                expect = sum(xc[b, t] * xc[b, t + j] for t in range(25 - j)) / 25
+                assert got[b, col] == pytest.approx(expect, abs=1e-12)
+
     @pytest.mark.parametrize("model", _WHITE)
     def test_qtilde_white_noise(self, model):
         x = _draws(model, 500, 30)
