@@ -1,10 +1,13 @@
 """Experiment harness: worker invariance, CSV schema, study registry."""
 
+import ctypes
 import io
 import math
+import platform
 
 import pytest
 
+from selfnorm import montecarlo
 from selfnorm.core import ValidationError
 from selfnorm.montecarlo import (
     CSV_COLUMNS,
@@ -84,6 +87,7 @@ class TestWorkerInvariance:
         kwargs = dict(model="ar1:0.3:garch", n=80, ks=(1,), alphas=(0.05,),
                       reps=250, seed=79)
         serial = run_power(**kwargs, workers=1)
+        montecarlo._NULL_STATS.clear()  # so the null pass runs in the pool too
         parallel = run_power(**kwargs, workers=2)
         assert [_row_key(r) for r in serial] == [_row_key(r) for r in parallel]
 
@@ -95,6 +99,91 @@ class TestWorkerInvariance:
         parallel = run_block_sweep(**kwargs, workers=2)
         assert len(serial) == 7  # the sn row, then 3 schemes x 2 blocks
         assert [_row_key(r) for r in serial] == [_row_key(r) for r in parallel]
+
+
+class TestChunkEngine:
+    def test_single_chunk_runs_without_a_pool(self, monkeypatch):
+        kwargs = dict(model="m1", n=150, target="mean", levels=(0.9,), reps=50, seed=1)
+        serial = run_coverage(**kwargs, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started for a single chunk")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        parallel = run_coverage(**kwargs, workers=2)
+        assert [_row_key(r) for r in parallel] == [_row_key(r) for r in serial]
+
+    def test_power_alternatives_share_one_null_pass(self, monkeypatch):
+        calls = []
+        real_chunk = montecarlo._test_stats_chunk
+
+        def counting_chunk(model, *args):
+            calls.append(model)
+            return real_chunk(model, *args)
+
+        monkeypatch.setattr(montecarlo, "_test_stats_chunk", counting_chunk)
+        monkeypatch.setattr(montecarlo, "_NULL_STATS", {})
+        kwargs = dict(n=60, ks=(1, 2), alphas=(0.05,), reps=100, seed=81)
+        models = ("ar1:0.2:garch", "ar1:0.4:garch")
+        cached = [run_power(m, **kwargs) for m in models]
+        assert calls.count("ar1:0:garch") == 1
+        (null,) = montecarlo._NULL_STATS.values()
+        assert not any(vals.flags.writeable for vals in null.values())
+        fresh = []
+        for m in models:
+            montecarlo._NULL_STATS.clear()
+            fresh.append(run_power(m, **kwargs))
+        assert calls.count("ar1:0:garch") == 3
+        assert ([[_row_key(r) for r in rows] for rows in cached]
+                == [[_row_key(r) for r in rows] for rows in fresh])
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestKeepHeap:
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        lib = _FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
+        monkeypatch.setattr(montecarlo, "_heap_kept", False)
+        montecarlo._keep_heap()
+        assert lib.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        montecarlo._keep_heap()
+        assert len(lib.calls) == 2
+
+    @pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
+    def test_silent_no_op_without_mallopt(self, monkeypatch, libc):
+        kwargs = dict(model="m1", n=150, target="acf:1", levels=(0.9,), reps=50, seed=2)
+        expected = [_row_key(r) for r in run_coverage(**kwargs)]
+
+        def cdll(name):
+            if libc == "unloadable":
+                raise OSError(f"{name}: cannot open shared object file")
+            return object()  # a library with no mallopt symbol
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(montecarlo, "_heap_kept", False)
+        assert [_row_key(r) for r in run_coverage(**kwargs)] == expected
+        assert montecarlo._heap_kept
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the malloc thresholds are set on glibc only")
+    def test_warm_sweep_does_not_fault_pages_back_in(self):
+        import resource
+
+        kwargs = dict(model="ar1:0.5:normal", n=50, target="acf:1", level=0.95,
+                      block_lengths=(1, 5, 10), boot_reps=1000, reps=2, seed=3)
+        run_block_sweep(**kwargs)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_block_sweep(**kwargs)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 500  # about 5000 with glibc's dynamic thresholds
 
 
 class TestRunners:
