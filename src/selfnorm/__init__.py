@@ -14,157 +14,61 @@ Quick start::
     print(sn_interval(seq, crit, level=0.95, estimator="acf:1").to_json())
 """
 
-from .core import (
-    DegenerateVarianceError,
-    EstimateSequence,
-    NonFiniteError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    RngStream,
-    SelfnormError,
-    SeriesParseError,
-    SolverFailedError,
-    TimeSeries,
-    TooManyDegenerateResamplesError,
-    TooShortError,
-    ValidationError,
-    as_series,
-    read_series,
-    stream_index_for,
-    validate_series,
-    write_series,
-)
-from .estimators import (
-    EstimatorSpec,
-    PhiSpec,
-    fourier_coeffs,
-    prefix_autocorr,
-    prefix_autocov,
-    prefix_estimates,
-    prefix_lad_ar,
-    prefix_mean,
-    prefix_median,
-    prefix_spectral_mean,
-    prefix_spectral_ratio,
-)
-from .inference import (
-    Ellipsoid,
-    Interval,
-    SelfNormResult,
-    sn_interval,
-    sn_pivot,
-    sn_region,
-    wn_batch,
-    wn_matrix,
-)
-from .critvals import (
-    CritvalTable,
-    get_quantile,
-    load_table,
-    simulate_uq,
-)
-from .noncorr import (
-    EfficientCiResult,
-    NoncorrResult,
-    efficient_ci,
-    efficient_variance_batch,
-    lobato_stat,
-    lobato_test,
-    qtilde_stat,
-    qtilde_stat_batch,
-    qtilde_test,
-    sn_noncorr_stat,
-    sn_noncorr_test,
-)
-from .bootstrap import (
-    MbbConfig,
-    MbbResult,
-    mbb_normal_ci,
-    mbb_percentile_ci,
-    mbb_resample,
-    mbb_sn_ci,
-)
-from .dgp import generate, generate_batch, parse_model, true_value
-from .montecarlo import (
-    ExperimentRow,
-    run_block_sweep,
-    run_coverage,
-    run_power,
-    run_size,
-    run_study,
-    write_csv,
-)
+from importlib import import_module
+
+# Public name -> the submodule that defines it.  Nothing is imported until a
+# name is first used (PEP 562), so a command loads only the layers it runs.
+_EXPORTS = {
+    "core": (
+        "DegenerateVarianceError", "EstimateSequence", "NonFiniteError",
+        "NotPositiveDefiniteError", "NumericalError", "RngStream", "SelfnormError",
+        "SeriesParseError", "SolverFailedError", "TimeSeries",
+        "TooManyDegenerateResamplesError", "TooShortError", "ValidationError",
+        "as_series", "read_series", "stream_index_for", "validate_series",
+        "write_series",
+    ),
+    "estimators": (
+        "EstimatorSpec", "PhiSpec", "fourier_coeffs", "prefix_autocorr",
+        "prefix_autocov", "prefix_estimates", "prefix_lad_ar", "prefix_mean",
+        "prefix_median", "prefix_spectral_mean", "prefix_spectral_ratio",
+    ),
+    "inference": (
+        "Ellipsoid", "Interval", "SelfNormResult", "sn_interval", "sn_pivot",
+        "sn_region", "wn_batch", "wn_matrix",
+    ),
+    "critvals": ("CritvalTable", "get_quantile", "load_table", "simulate_uq"),
+    "noncorr": (
+        "EfficientCiResult", "NoncorrResult", "efficient_ci",
+        "efficient_variance_batch", "lobato_stat", "lobato_test", "qtilde_stat",
+        "qtilde_stat_batch", "qtilde_test", "sn_noncorr_stat", "sn_noncorr_test",
+    ),
+    "bootstrap": (
+        "MbbConfig", "MbbResult", "mbb_normal_ci", "mbb_percentile_ci",
+        "mbb_resample", "mbb_sn_ci",
+    ),
+    "dgp": ("generate", "generate_batch", "parse_model", "true_value"),
+    "montecarlo": (
+        "ExperimentRow", "run_block_sweep", "run_coverage", "run_power",
+        "run_size", "run_study", "write_csv",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CritvalTable",
-    "DegenerateVarianceError",
-    "EfficientCiResult",
-    "Ellipsoid",
-    "EstimateSequence",
-    "EstimatorSpec",
-    "ExperimentRow",
-    "Interval",
-    "MbbConfig",
-    "MbbResult",
-    "NonFiniteError",
-    "NoncorrResult",
-    "NotPositiveDefiniteError",
-    "NumericalError",
-    "PhiSpec",
-    "RngStream",
-    "SelfNormResult",
-    "SelfnormError",
-    "SeriesParseError",
-    "SolverFailedError",
-    "TimeSeries",
-    "TooManyDegenerateResamplesError",
-    "TooShortError",
-    "ValidationError",
-    "as_series",
-    "efficient_ci",
-    "efficient_variance_batch",
-    "fourier_coeffs",
-    "generate",
-    "generate_batch",
-    "get_quantile",
-    "load_table",
-    "lobato_stat",
-    "lobato_test",
-    "mbb_normal_ci",
-    "mbb_percentile_ci",
-    "mbb_resample",
-    "mbb_sn_ci",
-    "parse_model",
-    "prefix_autocorr",
-    "prefix_autocov",
-    "prefix_estimates",
-    "prefix_lad_ar",
-    "prefix_mean",
-    "prefix_median",
-    "prefix_spectral_mean",
-    "prefix_spectral_ratio",
-    "qtilde_stat",
-    "qtilde_stat_batch",
-    "qtilde_test",
-    "read_series",
-    "run_block_sweep",
-    "run_coverage",
-    "run_power",
-    "run_size",
-    "run_study",
-    "simulate_uq",
-    "sn_interval",
-    "sn_noncorr_stat",
-    "sn_noncorr_test",
-    "sn_pivot",
-    "sn_region",
-    "stream_index_for",
-    "true_value",
-    "validate_series",
-    "wn_batch",
-    "wn_matrix",
-    "write_csv",
-    "write_series",
-]
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -12,9 +12,9 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from typing import IO, Optional, Sequence
 
-from .bootstrap import MbbConfig, mbb_normal_ci, mbb_percentile_ci, mbb_sn_ci
 from .core import (
     NumericalError,
     RngStream,
@@ -32,11 +32,31 @@ from .critvals import (
     get_quantile,
     load_table,
 )
-from .dgp import generate
 from .estimators import EstimatorSpec, prefix_estimates
 from .inference import sn_interval, sn_region
-from .montecarlo import get_study, resolve_reps, run_study, write_csv
-from .noncorr import check_k, lobato_test, qtilde_test, sn_noncorr_test
+
+# Names the other subcommands need, imported on first use (PEP 562) so that
+# `ci --method sn` and `critvals` load only the four modules above.  Handlers
+# read them through the module (`_this.name`), never as bare globals, so a
+# rebinding of the module attribute (bench/spans.py traces through them) is
+# the one that runs.
+_LAZY = {
+    "bootstrap": ("MbbConfig", "mbb_normal_ci", "mbb_percentile_ci", "mbb_sn_ci"),
+    "noncorr": ("check_k", "lobato_test", "qtilde_test", "sn_noncorr_test"),
+    "dgp": ("generate",),
+    "montecarlo": ("get_study", "resolve_reps", "run_study", "write_csv"),
+}
+_ORIGIN = {name: module for module, names in _LAZY.items() for name in names}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_ORIGIN[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 _PROG = "selfnorm"
 
@@ -115,16 +135,16 @@ def _cmd_ci(args) -> int:
         raise ValidationError(f"method {args.method} requires --block")
     seed = _resolve_seed(args.seed)
     ts = _read_input(args.data)
-    cfg = MbbConfig(
+    cfg = _this.MbbConfig(
         block_length=args.block,
         replications=args.reps,
         seed=seed,
         level=level,
     )
     builder = {
-        "mbb-pct": mbb_percentile_ci,
-        "mbb-normal": mbb_normal_ci,
-        "mbb-sn": mbb_sn_ci,
+        "mbb-pct": _this.mbb_percentile_ci,
+        "mbb-normal": _this.mbb_normal_ci,
+        "mbb-sn": _this.mbb_sn_ci,
     }[args.method]
     result = builder(ts, spec, cfg)
     _echo(
@@ -141,12 +161,12 @@ def _cmd_test_noncorr(args) -> int:
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be strictly between 0 and 1")
     ts = _read_input(args.data)
-    check_k(ts.n, args.k)
+    _this.check_k(ts.n, args.k)
     if args.method == "nw":
-        result = qtilde_test(ts, args.k, alpha)
+        result = _this.qtilde_test(ts, args.k, alpha)
     else:
         crit = get_quantile(args.k, round(alpha, 6))
-        runner = sn_noncorr_test if args.method == "sn" else lobato_test
+        runner = _this.sn_noncorr_test if args.method == "sn" else _this.lobato_test
         result = runner(ts, args.k, alpha, crit)
     _echo(
         f"{_PROG} test-noncorr --k {args.k} --method {args.method} "
@@ -206,7 +226,7 @@ def _cmd_generate(args) -> int:
     if args.n < 2:
         raise ValidationError("need --n >= 2")
     seed = _resolve_seed(args.seed)
-    values = generate(args.model, args.n, RngStream(seed))
+    values = _this.generate(args.model, args.n, RngStream(seed))
     repro = f"{_PROG} generate --model {args.model} --n {args.n} --seed {seed}"
     sink = _open_output(args.output)
     try:
@@ -218,12 +238,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    job = get_study(args.table)
+    job = _this.get_study(args.table)
     seed = _resolve_seed(args.seed)
-    count = resolve_reps(job, args.scale, args.reps)
+    count = _this.resolve_reps(job, args.scale, args.reps)
     if args.workers < 1:
         raise ValidationError("--workers must be >= 1")
-    rows = run_study(args.table, scale=args.scale, reps=count, seed=seed, workers=args.workers)
+    rows = _this.run_study(args.table, scale=args.scale, reps=count, seed=seed, workers=args.workers)
     repro = (
         f"{_PROG} simulate --table {job.name} --reps {count} --seed {seed} "
         f"--workers {args.workers}"
@@ -231,7 +251,7 @@ def _cmd_simulate(args) -> int:
     comments = [repro, f"full replication count {job.full_reps}, this run {count}"]
     sink = _open_output(args.output)
     try:
-        write_csv(rows, sink, comments)
+        _this.write_csv(rows, sink, comments)
     finally:
         if sink is not sys.stdout:
             sink.close()

@@ -17,7 +17,6 @@ import functools
 import importlib.resources
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
@@ -215,6 +214,8 @@ def _load_cache(path) -> dict:
 
 
 def _store_cache(path: Path, data: dict) -> None:
+    import tempfile  # only a cache miss writes; a lookup never needs it
+
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -10,9 +10,7 @@ column set so every study lands in the same CSV shape.
 from __future__ import annotations
 
 import csv
-import ctypes
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import IO, Optional, Sequence
@@ -133,6 +131,8 @@ def _keep_heap() -> None:
     if _heap_kept:
         return
     _heap_kept = True
+    import ctypes
+
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):  # not glibc
@@ -147,6 +147,9 @@ def _run_chunks(fn, reps: int, workers: int) -> dict:
     if workers <= 1 or len(bounds) == 1:
         parts = [fn(lo, hi) for lo, hi in bounds]
     else:
+        # loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         los, his = zip(*bounds)
         with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap) as pool:
             parts = list(pool.map(fn, los, his))

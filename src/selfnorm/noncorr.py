@@ -240,27 +240,6 @@ def _kernel_lrv(xc: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, np.n
     return v[back], bw[back]
 
 
-def nw_bandwidth(x: np.ndarray) -> int:
-    """Automatic Bartlett bandwidth (weights-one rule) for a scalar series."""
-    return int(_nw_bandwidths(np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
-def bartlett_lrv(w: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Bartlett lag-window long-run covariance of the rows of w (m, d):
-    columns demeaned, lag j weighted max(0, 1 - j/bandwidth), divisor m."""
-    wc = np.array(np.atleast_2d(np.asarray(w, dtype=np.float64).T)[None])
-    wc -= wc.mean(axis=-1, keepdims=True)
-    return _bartlett_window(wc, np.array([bandwidth]))[0]
-
-
-def prewhitened_lrv(x: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """(V, bandwidth): long-run covariance of the lag-0..k products of x,
-    AR(1)-prewhitened (coefficients capped at 0.97 in absolute value)."""
-    x = np.asarray(x, dtype=np.float64)
-    v, bw = _kernel_lrv((x - x.mean())[None, :], k, recolor=True)
-    return v[0], int(bw[0])
-
-
 def _delta_parts(x: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, ...]:
     """Per row of x (B, n): autocovariances gamma_0..k, the first k
     autocorrelations, their delta-method long-run covariance (B, k, k), and
@@ -292,9 +271,9 @@ def qtilde_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qtilde_stat(ts: SeriesLike, k: int) -> float:
-    """Wald statistic of the first k autocorrelations: the long-run variance
-    of the lag products (prewhitened_lrv) maps to correlations by the delta
-    method."""
+    """Wald statistic of the first k autocorrelations: the AR(1)-prewhitened
+    long-run variance of the lag products (_kernel_lrv) maps to correlations
+    by the delta method."""
     s = as_series(ts)
     gamma, rho, omega, _, _ = _delta_parts(s.values[None, :], k, recolor=True)
     if not gamma[0, 0] > 0.0:
@@ -334,18 +313,12 @@ class EfficientCiResult:
         }
 
 
-def efficient_variance_parts(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(V, bandwidth): Bartlett covariance of the lag-0 and lag-1 products of
-    x, with prewhitened_lrv's bandwidth but the window on the raw products."""
-    x = np.asarray(x, dtype=np.float64)
-    v, bw = _kernel_lrv((x - x.mean())[None, :], 1, recolor=False)
-    return v[0], int(bw[0])
-
-
 def efficient_variance_batch(x: np.ndarray, target: str) -> tuple[np.ndarray, ...]:
-    """Batched estimate of gamma(1) or rho(1) and its variance from
-    efficient_variance_parts; x is (B, n).  Returns (estimate, variance,
-    bandwidth, ok); a row is not ok when either variance is not positive."""
+    """Batched estimate of gamma(1) or rho(1) and its variance; x is (B, n).
+    The variance comes from the Bartlett covariance of the lag-0 and lag-1
+    products, with the prewhitened bandwidth of _kernel_lrv but the window on
+    the raw products.  Returns (estimate, variance, bandwidth, ok); a row is
+    not ok when either variance is not positive."""
     if target not in ("gamma1", "rho1"):
         raise ValidationError(f"target must be gamma1 or rho1, got {target!r}")
     gamma, rho, omega, v, bw = _delta_parts(x, 1, recolor=False)

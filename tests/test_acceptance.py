@@ -5,6 +5,7 @@ at the stated replication count unless the criterion fixes its own margin.
 Budgets are asserted with a monotonic clock.
 """
 
+import os
 import time
 
 import numpy as np
@@ -148,9 +149,12 @@ class TestAcceptance:
         blocks = tuple(range(1, 16))
         jobs = (("mean", 2000), ("acf:1", 2000), ("specratio:pi/2", 500))
         details = []
+        # sweep rows do not depend on the worker count (TestWorkerInvariance)
+        workers = min(2, os.cpu_count() or 1)
         for target, reps in jobs:
             rows = run_block_sweep("ar1:0.5:normal", 50, target, 0.95,
-                                   blocks, boot_reps=1000, reps=reps, seed=1)
+                                   blocks, boot_reps=1000, reps=reps, seed=1,
+                                   workers=workers)
             sn_width = rows[0].mean_width
             by = {(r.method, r.block_length): r for r in rows[1:]}
             for l in blocks:

@@ -260,6 +260,34 @@ for args in (["ci", "--stat", "mean"], ["ci", "--stat", "specratio:pi/2"],
 """
 
 
+_LOADED = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("selfnorm."))
+
+"""
+
+_MODULES_AFTER_MAIN = """
+import sys
+from selfnorm.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.startswith("selfnorm.")))
+"""
+
+_EXPORTS_RESOLVE = """
+import selfnorm
+
+names = {}
+exec("from selfnorm import " + ", ".join(selfnorm.__all__), names)
+for name in selfnorm.__all__:
+    assert names[name] is getattr(selfnorm, name), name
+print(loaded())
+print(selfnorm.montecarlo.run_study.__module__)
+"""
+
+
 class TestStartup:
     def test_serving_path_does_not_import_scipy(self, tmp_path, m1_series):
         # warm the tables the requests read, then run them in a fresh interpreter
@@ -274,6 +302,53 @@ class TestStartup:
         assert r.stdout.splitlines()[:2] == ["[]", "[]"]
         assert [line for line in r.stderr.splitlines()
                 if not line.startswith("# selfnorm")] == ["[]"] * 4
+
+
+    @pytest.mark.parametrize("args,loaded", [
+        (["ci", "--stat", "mean", "SERIES"], ()),
+        (["critvals", "--q", "1"], ()),
+        (["test-noncorr", "--k", "2", "--method", "sn", "SERIES"], ("noncorr",)),
+    ], ids=["ci", "critvals", "test-noncorr"])
+    def test_subcommand_loads_only_the_modules_it_runs(self, tmp_path, m1_series,
+                                                       args, loaded):
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        argv = [str(path) if a == "SERIES" else a for a in args]
+        r = run_cli(["-c", _MODULES_AFTER_MAIN, *argv], module=False)
+        assert r.returncode == 0, r.stderr
+        serving = ("cli", "core", "critvals", "estimators", "inference")
+        assert r.stdout.splitlines()[-1].split() == sorted(
+            f"selfnorm.{m}" for m in (*serving, *loaded))
+
+    def test_bare_import_loads_no_submodule(self):
+        r = run_cli(["-c", _LOADED + "import selfnorm\nprint(loaded())"],
+                    module=False)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
+    def test_every_export_resolves_on_first_use(self):
+        r = run_cli(["-c", _LOADED + _EXPORTS_RESOLVE], module=False)
+        assert r.returncode == 0, r.stderr
+        modules = ("bootstrap", "core", "critvals", "dgp", "estimators",
+                   "inference", "montecarlo", "noncorr")
+        assert r.stdout.splitlines() == [
+            str([f"selfnorm.{m}" for m in modules]), "selfnorm.montecarlo"]
+
+    def test_handlers_call_the_module_binding(self, tmp_path, monkeypatch,
+                                              capsys, m1_series):
+        calls = []
+        real = cli.lobato_test
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(cli, "lobato_test", counted)
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        assert cli.main(["test-noncorr", "--k", "2", "--method", "lobato", str(path)]) == 0
+        assert calls == [2]
+        assert json.loads(capsys.readouterr().out)["method"] == "lobato"
 
 
 class TestSimulate:

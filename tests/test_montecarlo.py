@@ -1,5 +1,6 @@
 """Experiment harness: worker invariance, CSV schema, study registry."""
 
+import concurrent.futures
 import ctypes
 import io
 import math
@@ -109,7 +110,8 @@ class TestChunkEngine:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started for a single chunk")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        # _run_chunks imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         parallel = run_coverage(**kwargs, workers=2)
         assert [_row_key(r) for r in parallel] == [_row_key(r) for r in serial]
 

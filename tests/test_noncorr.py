@@ -24,21 +24,28 @@ from selfnorm.noncorr import (
     _ar1_coefficients,
     _full_autocov,
     _lag_products,
-    bartlett_lrv,
     check_k,
     efficient_ci,
     efficient_variance_batch,
-    efficient_variance_parts,
     lobato_stat,
     lobato_test,
-    nw_bandwidth,
-    prewhitened_lrv,
     qtilde_stat,
     qtilde_stat_batch,
     qtilde_test,
     sn_noncorr_stat,
     sn_noncorr_test,
 )
+
+
+def _bandwidth(x):
+    """The automatic bandwidth of one series: _nw_bandwidths on a batch of one."""
+    return int(noncorr._nw_bandwidths(np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
+def _bartlett(w, bandwidth):
+    """_bartlett_window on a batch of one: the columns of w (m, d), demeaned."""
+    wc = w.T[None] - w.T.mean(axis=-1, keepdims=True)[None]
+    return noncorr._bartlett_window(wc, np.array([bandwidth]))[0]
 
 
 def _lag1_autocov(x):
@@ -149,35 +156,35 @@ class TestBandwidth:
     def test_floor_is_one_for_flat_autocovariance(self):
         # zero lag-1 autocovariance with pilot truncation 1 forces s1 = 0
         x = _series_with_zero_lag1(11, n=20)
-        assert nw_bandwidth(x) == 1
+        assert _bandwidth(x) == 1
 
     def test_scale_invariant(self, rng):
         x = rng.standard_normal(150).cumsum()
-        assert nw_bandwidth(x) == nw_bandwidth(10.0 * x)
-        assert nw_bandwidth(x) == nw_bandwidth(0.01 * x)
+        assert _bandwidth(x) == _bandwidth(10.0 * x)
+        assert _bandwidth(x) == _bandwidth(0.01 * x)
 
     def test_grows_with_persistence(self):
         from selfnorm.dgp import generate
         white = RngStream(2).generator().standard_normal(600)
         persistent = generate("ar1:0.8:normal", 600, RngStream(2))
-        assert nw_bandwidth(persistent) > nw_bandwidth(white)
+        assert _bandwidth(persistent) > _bandwidth(white)
 
     def test_bounds(self, rng):
-        assert nw_bandwidth(rng.standard_normal(3)) >= 1
+        assert _bandwidth(rng.standard_normal(3)) >= 1
         x = rng.standard_normal(30)
-        assert nw_bandwidth(x) <= 29
+        assert _bandwidth(x) <= 29
 
 
 class TestLongRunVariance:
     def test_bartlett_symmetric_psd_diagonal(self, rng):
         w = rng.standard_normal((80, 2))
-        v = bartlett_lrv(w, 5)
+        v = _bartlett(w, 5)
         np.testing.assert_allclose(v, v.T)
         assert v[0, 0] > 0 and v[1, 1] > 0
 
     def test_bandwidth_one_is_sample_covariance(self, rng):
         w = rng.standard_normal((60, 2))
-        v = bartlett_lrv(w, 1)
+        v = _bartlett(w, 1)
         wc = w - w.mean(axis=0)
         np.testing.assert_allclose(v, wc.T @ wc / 60, rtol=1e-12)
 
@@ -188,10 +195,10 @@ class TestLongRunVariance:
 
     def test_prewhitened_lrv_shape(self, rng):
         x = rng.standard_normal(200)
-        v, bw = prewhitened_lrv(x, 3)
-        assert v.shape == (4, 4)
-        assert bw >= 1
-        np.testing.assert_allclose(v, v.T)
+        v, bw = noncorr._kernel_lrv((x - x.mean())[None, :], 3, recolor=True)
+        assert v.shape == (1, 4, 4)
+        assert bw[0] >= 1
+        np.testing.assert_allclose(v[0], v[0].T)
 
 
 class TestQtilde:
@@ -253,9 +260,9 @@ class TestEfficientCi:
         # the Bartlett window must act on the raw products; only the
         # bandwidth search sees the prewhitened series
         x = RngStream(24).generator().standard_normal(400)
-        v, bw = efficient_variance_parts(x)
+        v, bw = noncorr._kernel_lrv((x - x.mean())[None, :], 1, recolor=False)
         w = _lag_products((x - x.mean())[None, :], 1)[0].T
-        np.testing.assert_allclose(v, bartlett_lrv(w, bw), rtol=1e-12)
+        np.testing.assert_allclose(v[0], _bartlett(w, bw[0]), rtol=1e-12)
 
     def test_validation(self):
         x = RngStream(25).generator().standard_normal(100)
