@@ -7,7 +7,6 @@ parallel Monte Carlo runs reproducible independently of worker count.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
@@ -335,6 +334,8 @@ def stream_index_for(*parts) -> int:
     Uses a fixed hash so the same key maps to the same stream in every
     process, unlike the builtin salted hash().
     """
+    import hashlib  # loads OpenSSL; ci and test-noncorr --method sn never derive a stream
+
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         if isinstance(part, (bool, float)):
