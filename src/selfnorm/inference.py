@@ -28,7 +28,9 @@ def _gram_quadform(dev: np.ndarray, center: np.ndarray, n: int) -> tuple[np.ndar
     """(W, n center' W^{-1} center, ok) with W = n^{-2} dev' dev per row of
     the weighted deviations dev (B, rows, q); ok is False where W is not
     positive definite, and the pivot is NaN there."""
-    w = np.einsum("bmi,bmj->bij", dev, dev) / (float(n) * float(n))
+    # matmul of a matrix's transpose with itself runs BLAS syrk per row: faster
+    # than einsum's loop over q, exactly symmetric, and no less accurate
+    w = np.matmul(dev.swapaxes(1, 2), dev) / (float(n) * float(n))
     quad, ok = quadform_batch(w, center)
     return w, n * quad, ok
 
