@@ -68,7 +68,3 @@ def __getattr__(name: str):
     value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

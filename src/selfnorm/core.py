@@ -334,7 +334,7 @@ def stream_index_for(*parts) -> int:
     Uses a fixed hash so the same key maps to the same stream in every
     process, unlike the builtin salted hash().
     """
-    import hashlib  # loads OpenSSL; ci and test-noncorr --method sn never derive a stream
+    import hashlib  # loads OpenSSL, which ci and critvals never need
 
     h = hashlib.blake2b(digest_size=8)
     for part in parts:

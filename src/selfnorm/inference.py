@@ -28,8 +28,8 @@ def _gram_quadform(dev: np.ndarray, center: np.ndarray, n: int) -> tuple[np.ndar
     """(W, n center' W^{-1} center, ok) with W = n^{-2} dev' dev per row of
     the weighted deviations dev (B, rows, q); ok is False where W is not
     positive definite, and the pivot is NaN there."""
-    # matmul of a matrix's transpose with itself runs BLAS syrk per row: faster
-    # than einsum's loop over q, exactly symmetric, and no less accurate
+    # numpy runs dev' dev as BLAS syrk per row: exactly symmetric, faster than
+    # einsum's loop over q, and closer to an extended-precision Gram
     w = np.matmul(dev.swapaxes(1, 2), dev) / (float(n) * float(n))
     quad, ok = quadform_batch(w, center)
     return w, n * quad, ok

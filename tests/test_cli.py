@@ -268,12 +268,11 @@ def loaded():
 
 """
 
-_MODULES_AFTER_MAIN = """
-import sys
+_MODULES_AFTER_MAIN = _LOADED + """
 from selfnorm.cli import main
 
 assert main(sys.argv[1:]) == 0
-print(*sorted(m for m in sys.modules if m.startswith("selfnorm.")))
+print(*loaded())
 """
 
 _EXPORTS_RESOLVE = """
@@ -302,7 +301,6 @@ class TestStartup:
         assert r.stdout.splitlines()[:2] == ["[]", "[]"]
         assert [line for line in r.stderr.splitlines()
                 if not line.startswith("# selfnorm")] == ["[]"] * 4
-
 
     @pytest.mark.parametrize("args,loaded", [
         (["ci", "--stat", "mean", "SERIES"], ()),

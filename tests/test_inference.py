@@ -116,6 +116,20 @@ class TestWnBatch:
         np.testing.assert_array_equal(w_rest, np.delete(w, const, axis=0))
         np.testing.assert_array_equal(piv_rest, np.delete(piv, const))
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_the_defining_sum(self, rng, q):
+        # W = N^-2 sum_t t^2 (est_t - est_N)(est_t - est_N)', term by term
+        n = 200
+        values, fv = _trajectories(_ar1_rows(rng, 3, n), q)
+        w, _, _ = wn_batch(values, fv, n)
+        for row, got in zip(values, w):
+            expect = np.zeros((q, q))
+            for t, est in enumerate(row, start=fv):
+                expect += t * t * np.outer(est - row[-1], est - row[-1])
+            expect /= n * n
+            np.testing.assert_allclose(got, expect, rtol=1e-12,
+                                       atol=1e-13 * np.abs(expect).max())
+
 
 class TestInterval:
     def test_hand_value(self):
