@@ -5,13 +5,15 @@ sqrt(N)(est* - est), the normal interval with a bootstrap standard error, and
 the bootstrapped self-normalized interval, which replaces the simulated limit
 quantile by the bootstrap quantile of the resampled pivot.  Resamples draw
 ceil(n/l) blocks of length l uniformly and truncate the concatenation to n,
-so a fractional last block is used when l does not divide n.
+so a fractional last block is used when l does not divide n.  Every
+estimator, ladar included, is evaluated on all resamples at once by
+batch_prefix_values.
 
 Degenerate resamples: a resample whose estimate is undefined (a vanished
 prefix variance, a failed fit) is redrawn up to MAX_RETRIES times and then
 dropped.  The self-normalized scheme also drops resamples whose normalizer
-W* is not positive, without redrawing them.  More than MAX_BAD_FRAC of the
-replications dropped, for either reason, raises
+W* is not positive definite, without redrawing them.  More than MAX_BAD_FRAC
+of the replications dropped, for either reason, raises
 TooManyDegenerateResamplesError.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .core import (
     BlockTooLongError,
     DegenerateVarianceError,
     RngStream,
-    SelfnormError,
     SeriesLike,
     TooManyDegenerateResamplesError,
     ValidationError,
@@ -41,7 +42,7 @@ from .inference import (
     json_estimate,
     json_region,
     sn_interval,
-    sn_pivot,
+    sn_pivot,  # noqa: F401  (bound by name in bench/spans.py)
     sn_region,
     wn_batch as wn_scalar_batch,  # alias bound by name in bench/spans.py
 )
@@ -142,53 +143,31 @@ def _check_bad(bad: int, cfg: MbbConfig) -> None:
         raise TooManyDegenerateResamplesError(bad, cfg.replications)
 
 
-def _resample(
-    x: np.ndarray,
-    cfg: MbbConfig,
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, int]:
-    """Evaluate cfg.replications resamples of x; returns (values, dropped).
+def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) -> tuple[np.ndarray, int]:
+    """Prefix trajectories (kept, rows, dim) of cfg.replications resamples
+    of x, and the dropped count.
 
-    evaluate maps a (rows, n) matrix of resamples to (values, ok), one entry
-    per row.  Rows with ok False are redrawn up to MAX_RETRIES times,
-    then dropped; values holds the kept rows only.
+    Resamples that batch_prefix_values marks not ok are redrawn up to
+    MAX_RETRIES times, then dropped.
     """
     n = x.shape[0]
     if cfg.block_length > n:
         raise BlockTooLongError(cfg.block_length, n)
     gen = RngStream(cfg.seed).child("mbb", cfg.block_length).generator()
-    vals, ok = evaluate(_draw(x, cfg.block_length, cfg.replications, gen))
+
+    def evaluate(rows: int) -> tuple[np.ndarray, np.ndarray]:
+        vals, _, ok = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
+        return vals, ok
+
+    vals, ok = evaluate(cfg.replications)
     for _ in range(MAX_RETRIES):
         bad = np.flatnonzero(~ok)
         if bad.size == 0:
             break
-        vals[bad], ok[bad] = evaluate(_draw(x, cfg.block_length, bad.size, gen))
+        vals[bad], ok[bad] = evaluate(bad.size)
     dropped = int((~ok).sum())
     _check_bad(dropped, cfg)
     return vals[ok], dropped
-
-
-def _resample_prefix_values(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) -> tuple[np.ndarray, int]:
-    """Prefix-value rows of the kept resamples, and the dropped count."""
-    # batch_prefix_values gives (values, first_valid, ok); keep values and ok
-    return _resample(x, cfg, lambda xs: batch_prefix_values(spec, xs)[::2])
-
-
-def _per_resample(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """An evaluate for _resample that applies fn to one resample at a time,
-    for estimators without a batch kernel; a resample on which fn raises
-    SelfnormError (or returns NaN) is not ok."""
-
-    def evaluate(xs):
-        out = np.full(xs.shape[0], np.nan)
-        for r, row in enumerate(xs):
-            try:
-                out[r] = fn(row)
-            except SelfnormError:
-                pass
-        return out, ~np.isnan(out)
-
-    return evaluate
 
 
 def _percentile_interval(root: np.ndarray, est: float, n: int, level: float) -> Interval:
@@ -205,13 +184,15 @@ def _normal_interval(root: np.ndarray, est: float, n: int, level: float) -> tupl
     return Interval(est - half, est + half), sigma2
 
 
-def _sn_quantile(vals: np.ndarray, est: float, n: int, spec: EstimatorSpec, cfg: MbbConfig, dropped: int) -> float:
-    """Bootstrap quantile of the scalar pivot n (est* - est)^2 / W*.
+def _sn_quantile(
+    vals: np.ndarray, est: Union[float, np.ndarray], n: int, spec: EstimatorSpec, cfg: MbbConfig, dropped: int
+) -> float:
+    """Bootstrap quantile of the pivot n (est* - est)' W*^{-1} (est* - est).
 
-    Resamples with W* <= 0 are dropped and count with the already dropped
-    ones toward MAX_BAD_FRAC.
+    Resamples whose W* is not positive definite are dropped and count with
+    the already dropped ones toward MAX_BAD_FRAC.
     """
-    _, pivots, good = wn_scalar_batch(vals[:, :, None], spec.first_valid(), n, est)
+    _, pivots, good = wn_scalar_batch(vals, spec.first_valid(), n, est)
     _check_bad(dropped + int((~good).sum()), cfg)
     return float(np.quantile(pivots[good], cfg.level))
 
@@ -226,11 +207,7 @@ def _scalar_root(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig, scheme: st
     if spec.dim != 1:
         raise ValidationError(f"{scheme} scheme handles scalar estimators only")
     est = float(prefix_estimates(spec, s).final[0])
-    if spec.batched:
-        finals = _resample_prefix_values(s.values, spec, cfg)[0][:, -1]
-    else:
-        final = _per_resample(lambda row: prefix_estimates(spec, row).final[0])
-        finals = _resample(s.values, cfg, final)[0]
+    finals = _resample(s.values, spec, cfg)[0][:, -1, 0]
     return s, est, math.sqrt(s.n) * (finals - est)
 
 
@@ -276,17 +253,11 @@ def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
     The resampled pivot N (est* - est)' W*^{-1} (est* - est) replaces the
     simulated limit quantile; the region itself is the self-normalized one
     on the original series, so it always contains the point estimate.
-    Estimators without a batch kernel are evaluated one resample at a time.
     """
     s = as_series(ts)
     seq = prefix_estimates(spec, s)
-    if spec.batched:
-        vals, dropped = _resample_prefix_values(s.values, spec, cfg)
-        ustar = _sn_quantile(vals, float(seq.final[0]), s.n, spec, cfg, dropped)
-    else:
-        pivot = _per_resample(lambda row: sn_pivot(prefix_estimates(spec, row), seq.final))
-        pivots, _ = _resample(s.values, cfg, pivot)
-        ustar = float(np.quantile(pivots, cfg.level))
+    vals, dropped = _resample(s.values, spec, cfg)
+    ustar = _sn_quantile(vals, seq.final, s.n, spec, cfg, dropped)
     build = sn_interval if spec.dim == 1 else sn_region
     region = build(seq, ustar, cfg.level, estimator=spec.canonical()).region
     estimate = float(seq.final[0]) if spec.dim == 1 else seq.final.copy()
@@ -314,8 +285,8 @@ def bootstrap_suite(
     if not w > 0.0:
         raise DegenerateVarianceError("self-normalizer of the original series is zero")
     n = x.shape[0]
-    vals, dropped = _resample_prefix_values(x, spec, cfg)
-    root = math.sqrt(n) * (vals[:, -1] - est)
+    vals, dropped = _resample(x, spec, cfg)
+    root = math.sqrt(n) * (vals[:, -1, 0] - est)
     nrm, _ = _normal_interval(root, est, n, cfg.level)
     ustar = _sn_quantile(vals, est, n, spec, cfg, dropped)
     half_sn = math.sqrt(ustar * w / n)

@@ -15,6 +15,8 @@ import sys
 from importlib import import_module
 from typing import IO, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     NumericalError,
     RngStream,
@@ -315,7 +317,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the package's finiteness and ok checks report every overflow and
+        # invalid operation as one error; numpy's warnings would repeat it
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except BrokenPipeError:
         return 0
     except ValidationError as exc:

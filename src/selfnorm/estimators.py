@@ -169,11 +169,6 @@ class EstimatorSpec:
     def dim(self) -> int:
         return self.order if self.kind == "ladar" else 1
 
-    @property
-    def batched(self) -> bool:
-        """Whether batch_prefix_values evaluates this statistic row-wise."""
-        return self.kind != "ladar"
-
     def first_valid(self) -> int:
         if self.kind in ("mean", "median"):
             return 1
@@ -376,22 +371,26 @@ def batch_prefix_spectral(
 
 
 def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Dispatch: (values (B, rows), first_valid, ok (B,)) for scalar estimators."""
+    """Dispatch: (values (B, rows, dim), first_valid, ok (B,)) for any estimator.
+
+    values[b] is the (rows, dim) trajectory of row b, the layout of
+    EstimateSequence and wn_batch; rows that ok marks False are NaN.
+    """
     x = _check_matrix(x)
-    all_ok = np.ones(x.shape[0], dtype=bool)
+    if spec.kind == "ladar":
+        return _batch_lad_ar(x, spec.order)
+    ok = np.ones(x.shape[0], dtype=bool)
     if spec.kind == "mean":
-        return batch_prefix_mean(x), 1, all_ok
-    if spec.kind == "median":
-        return batch_prefix_median(x), 1, all_ok
-    if spec.kind == "acov":
-        return batch_prefix_autocov(x, spec.lag), spec.first_valid(), all_ok
-    if spec.kind == "acf":
+        vals = batch_prefix_mean(x)
+    elif spec.kind == "median":
+        vals = batch_prefix_median(x)
+    elif spec.kind == "acov":
+        vals = batch_prefix_autocov(x, spec.lag)
+    elif spec.kind == "acf":
         vals, ok = batch_prefix_autocorr(x, spec.lag)
-        return vals, spec.first_valid(), ok
-    if spec.kind in ("specmean", "specratio"):
+    else:
         vals, ok = batch_prefix_spectral(x, spec.phi(), spec.kind == "specratio")
-        return vals, spec.first_valid(), ok
-    raise ValidationError(f"{spec.kind} has no batch kernel; evaluate per series")
+    return vals[:, :, None], spec.first_valid(), ok
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +501,38 @@ def _lad_fit(a: np.ndarray, y: np.ndarray, start: Optional[np.ndarray]) -> np.nd
     return polished
 
 
+def _lad_path(x: np.ndarray, p: int) -> np.ndarray:
+    """(n - p - 9, p) LAD autoregression coefficients of the prefixes
+    p+10..n of x; IRLS with warm starts, exact coordinate descent as the
+    fallback.  Raises SolverFailedError when a prefix's fit does not converge."""
+    first = p + LAD_EXTRA_PREFIX
+    design_full = np.column_stack([x[p - 1 - j: len(x) - 1 - j] for j in range(p)])
+    y_full = x[p:]  # row i of design_full predicts y_full[i]
+    out = np.empty((len(x) - first + 1, p))
+    theta: Optional[np.ndarray] = None
+    for i in range(out.shape[0]):
+        m = first - p + i
+        theta = _lad_fit(design_full[:m], y_full[:m], theta)
+        out[i] = theta
+    return out
+
+
+def _batch_lad_ar(x: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """batch_prefix_values for ladar:p; a row whose fit fails is not ok."""
+    b, n = x.shape
+    first = p + LAD_EXTRA_PREFIX
+    if n < first:
+        raise TooShortError(n, first)
+    vals = np.full((b, n - first + 1, p), np.nan)
+    ok = np.ones(b, dtype=bool)
+    for r in range(b):
+        try:
+            vals[r] = _lad_path(x[r], p)
+        except SolverFailedError:
+            ok[r] = False
+    return vals, first, ok
+
+
 def prefix_lad_ar(ts: SeriesLike, p: int) -> EstimateSequence:
     """Running LAD autoregression coefficients, prefixes p+10..n.
 
@@ -515,22 +546,12 @@ def prefix_lad_ar(ts: SeriesLike, p: int) -> EstimateSequence:
     first = p + LAD_EXTRA_PREFIX
     if s.n < first:
         raise TooShortError(s.n, first)
-    x = s.values
-    cols = [x[p - 1 - j: len(x) - 1 - j] for j in range(p)]
-    design_full = np.column_stack(cols)  # row i predicts x[p + i]
-    y_full = x[p:]
-    rows = []
-    theta: Optional[np.ndarray] = None
-    for t in range(first, s.n + 1):
-        m = t - p
-        theta = _lad_fit(design_full[:m], y_full[:m], theta)
-        rows.append(theta.copy())
-    return EstimateSequence(np.vstack(rows), first, s.n)
+    return EstimateSequence(_lad_path(s.values, p), first, s.n)
 
 
 def prefix_estimates(spec: EstimatorSpec, ts: SeriesLike) -> EstimateSequence:
-    """Evaluate any estimator spec on one series; the scalar estimators run
-    as a batch of one."""
+    """Evaluate any estimator spec on one series: a batch of one, except
+    that ladar calls prefix_lad_ar, so a failed fit raises its own error."""
     s = as_series(ts)
     if spec.kind == "ladar":
         return prefix_lad_ar(s, spec.order)

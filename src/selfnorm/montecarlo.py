@@ -28,8 +28,15 @@ from .core import (
 )
 from .critvals import get_quantile
 from .dgp import generate_batch, parse_model, true_value
-from .estimators import EstimatorSpec, batch_prefix_values, prefix_lad_ar
-from .inference import sn_pivot, wn_batch as wn_scalar_batch  # alias bound by name in bench/spans.py
+from .estimators import (
+    EstimatorSpec,
+    batch_prefix_values,
+    prefix_lad_ar,  # noqa: F401  (bound by name in bench/spans.py)
+)
+from .inference import (
+    sn_pivot,  # noqa: F401  (bound by name in bench/spans.py)
+    wn_batch as wn_scalar_batch,  # alias bound by name in bench/spans.py
+)
 from .noncorr import (
     efficient_ci,  # noqa: F401  (bound by name in bench/spans.py)
     efficient_variance_batch,
@@ -175,15 +182,16 @@ def _test_stats_chunk(model: str, n: int, ks: tuple, seed: int, lo: int, hi: int
     return out
 
 
-def _sn_parts(spec: EstimatorSpec, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-sample estimates and self-normalizers W of the rows of x."""
+def _sn_parts(spec: EstimatorSpec, x: np.ndarray, n: int, theta0=0.0) -> tuple[np.ndarray, ...]:
+    """Full-sample estimates (B, dim), self-normalizers W (B, dim, dim) and
+    pivots at theta0 (B,) of the rows of x."""
     vals, fv, ok = batch_prefix_values(spec, x)
     if not np.all(ok):
-        raise NumericalError(f"{int(np.sum(~ok))} degenerate estimate paths")
-    w, _, ok = wn_scalar_batch(vals[:, :, None], fv, n)
+        raise NumericalError(f"{int(np.sum(~ok))} degenerate {spec.canonical()} estimate paths")
+    w, pivot, ok = wn_scalar_batch(vals, fv, n, theta0)
     if not np.all(ok):
-        raise NumericalError(f"{int(np.sum(~ok))} zero self-normalizers")
-    return vals[:, -1], w[:, 0, 0]
+        raise NumericalError(f"{int(np.sum(~ok))} singular self-normalizers")
+    return vals[:, -1], w, pivot
 
 
 def _coverage_chunk(
@@ -193,11 +201,11 @@ def _coverage_chunk(
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
     out = {}
     if spec.kind == "ladar":
-        truth = np.asarray(true_value(model, spec))
-        out["pivot"] = np.array([sn_pivot(prefix_lad_ar(row, spec.order), truth) for row in x])
+        out["pivot"] = _sn_parts(spec, x, n, np.asarray(true_value(model, spec)))[2]
         return out
     if "sn" in methods:
-        out["center"], out["w"] = _sn_parts(spec, x, n)
+        center, w, _ = _sn_parts(spec, x, n)
+        out["center"], out["w"] = center[:, 0], w[:, 0, 0]
     if "eff" in methods:
         if spec.kind == "acov" and spec.lag == 1:
             eff_target = "gamma1"
@@ -231,7 +239,8 @@ def _sweep_chunk(
     spec = EstimatorSpec.parse(target)
     truth = float(true_value(model, spec))
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
-    center, w = _sn_parts(spec, x, n)
+    center, w, _ = _sn_parts(spec, x, n)
+    center, w = center[:, 0], w[:, 0, 0]
     half = np.sqrt(sn_critval * w / n)
     out = {("sn", "cover"): np.abs(center - truth) <= half, ("sn", "width"): 2.0 * half}
     shape = (x.shape[0], len(block_lengths))

@@ -149,8 +149,8 @@ def lobato_test(ts: SeriesLike, k: int, alpha: float, critval: float) -> Noncorr
 
 
 # ---------------------------------------------------------------------------
-# Kernel long-run variance: one batched primitive over (B, n) rows, whose
-# sums along time are all (a * b).sum(axis=-1); scalar paths are batches of one
+# Kernel long-run variance: one batched primitive over (B, n) rows; scalar
+# paths are batches of one
 # ---------------------------------------------------------------------------
 
 def _nw_bandwidths(u: np.ndarray) -> np.ndarray:
@@ -196,16 +196,10 @@ def _bartlett_window(wc: np.ndarray, bw: np.ndarray) -> np.ndarray:
     The rows come sorted by bandwidth, descending, so lag j touches only the
     prefix of rows with bw > j: no row pays for another row's bandwidth."""
     b, d, m = wc.shape
-    v = np.empty((b, d, d))
-    for i in range(d):
-        for c in range(i, d):
-            v[:, i, c] = v[:, c, i] = (wc[:, i] * wc[:, c]).sum(axis=-1) / m
+    v = np.matmul(wc, wc.swapaxes(1, 2)) / m
     for j in range(1, min(int(bw[0]), m) if b else 0):
         rows = int(np.count_nonzero(bw > j))
-        gamma = np.empty((rows, d, d))
-        for i in range(d):
-            for c in range(d):
-                gamma[:, i, c] = (wc[:rows, i, j:] * wc[:rows, c, : m - j]).sum(axis=-1) / m
+        gamma = np.matmul(wc[:rows, :, j:], wc[:rows, :, : m - j].swapaxes(1, 2)) / m
         weight = 1.0 - j / bw[:rows]
         v[:rows] += weight[:, None, None] * (gamma + gamma.transpose(0, 2, 1))
     return v
@@ -219,25 +213,19 @@ def _kernel_lrv(xc: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, np.n
     is divided by (1 - a_i)(1 - a_j); without, on the products themselves."""
     w = _lag_products(xc, k)
     coef = _ar1_coefficients(w)
-    u = w[:, 0, 1:] - w[:, 0, :-1] * coef[:, :1]
-    for j in range(1, k + 1):
-        u += w[:, j, 1:] - w[:, j, :-1] * coef[:, j : j + 1]
-    bw = _nw_bandwidths(u)
-    del w, u
-    # rebuild the products in bandwidth order rather than hold a permuted copy
-    order = np.argsort(-bw, kind="stable")
-    coef, bw = coef[order], bw[order]
-    w = _lag_products(xc[order], k)
+    # AR(1) residuals, formed in place: no second temporary of w's size
+    resid = np.multiply(w[:, :, :-1], coef[:, :, None])
+    np.subtract(w[:, :, 1:], resid, out=resid)
+    bw = _nw_bandwidths(resid.sum(axis=1))
     if recolor:
-        for j in range(k + 1):
-            w[:, j, 1:] -= w[:, j, :-1] * coef[:, j : j + 1]
-        w = w[:, :, 1:]
-        w -= w.mean(axis=-1, keepdims=True)
-    v = _bartlett_window(w, bw)
+        resid -= resid.mean(axis=-1, keepdims=True)
+        w = resid
+    del resid
+    order = np.argsort(-bw, kind="stable")
+    v = _bartlett_window(w[order], bw[order])[np.argsort(order)]
     if recolor:
         v /= (1.0 - coef)[:, :, None] * (1.0 - coef)[:, None, :]
-    back = np.argsort(order)
-    return v[back], bw[back]
+    return v, bw
 
 
 def _delta_parts(x: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, ...]:

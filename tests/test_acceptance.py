@@ -62,7 +62,7 @@ class TestAcceptance:
         base = RngStream(31415)
         x = generate_batch("iidn", 500, [base.child("rep", i) for i in range(5000)])
         values, first, _ = batch_prefix_values(EstimatorSpec.parse("mean"), x)
-        _, piv, ok = wn_batch(values[:, :, None], first, 500, 0.0)
+        _, piv, ok = wn_batch(values, first, 500, 0.0)
         assert bool(np.all(ok))
         ref = simulate_uq(1, grid=1000, reps=50000, seed=99991,
                           keep_sample=True).sample

@@ -15,7 +15,7 @@ from selfnorm.core import (
 from selfnorm.critvals import get_quantile
 from selfnorm.estimators import EstimatorSpec, prefix_estimates
 from selfnorm.inference import wn_matrix
-from selfnorm import bootstrap
+from selfnorm import bootstrap, estimators
 from selfnorm.bootstrap import (
     MbbConfig,
     assemble_blocks,
@@ -149,17 +149,62 @@ class TestSchemes:
             MbbConfig(block_length=2, seed=-3)
 
 
+def _patch_lad_fit(monkeypatch, replace):
+    """Route the LAD fit through replace(path, real, *args), path counting
+    the coefficient paths begun so far (0: the original series); returns the
+    list of paths begun."""
+    real = estimators._lad_fit
+    paths = []
+
+    def fit(a, y, start):
+        if start is None:  # the first prefix of a new path
+            paths.append(len(paths))
+        return replace(paths[-1], real, a, y, start)
+
+    monkeypatch.setattr(estimators, "_lad_fit", fit)
+    return paths
+
+
 class TestPerResamplePath:
     def test_programming_errors_propagate(self, monkeypatch):
         # only numerical failures count as degenerate resamples
-        def broken(*args, **kwargs):
-            raise TypeError("injected")
+        def broken(path, real, *args):
+            if path > 0:
+                raise TypeError("injected")
+            return real(*args)
 
-        monkeypatch.setattr(bootstrap, "sn_pivot", broken)
+        _patch_lad_fit(monkeypatch, broken)
         x = RngStream(21).generator().standard_normal(40)
         cfg = MbbConfig(block_length=4, replications=10, seed=1)
         with pytest.raises(TypeError):
             mbb_sn_ci(x, EstimatorSpec.parse("ladar:1"), cfg)
+
+
+class TestSingularResamplePivots:
+    """A ladar resample whose W* is not positive definite is dropped, like
+    any other estimator's, and counts toward MAX_BAD_FRAC; it is not redrawn."""
+
+    CFG = MbbConfig(block_length=4, replications=50, seed=1)
+
+    def _run(self, monkeypatch, singular):
+        def fit(path, real, a, y, start):
+            # a constant coefficient path has W* = 0
+            return np.zeros(a.shape[1]) if path in singular else real(a, y, start)
+
+        paths = _patch_lad_fit(monkeypatch, fit)
+        x = RngStream(22).generator().standard_normal(60)
+        try:
+            return mbb_sn_ci(x, EstimatorSpec.parse("ladar:1"), self.CFG)
+        finally:
+            assert len(paths) == 1 + self.CFG.replications  # nothing redrawn
+
+    def test_dropped_not_redrawn(self, monkeypatch):
+        assert self._run(monkeypatch, {2, 5}).ustar > 0.0
+
+    def test_count_toward_max_bad_frac(self, monkeypatch):
+        assert 3 > bootstrap.MAX_BAD_FRAC * self.CFG.replications
+        with pytest.raises(TooManyDegenerateResamplesError):
+            self._run(monkeypatch, {2, 5, 7})
 
 
 class TestSuite:

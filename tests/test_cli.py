@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import selfnorm
@@ -204,6 +205,25 @@ class TestNoncorr:
         path.write_text(m1_series)
         assert cli.main(["test-noncorr", "--k", k, str(path)]) == 1
         assert capsys.readouterr().err == f"selfnorm: {message}\n"
+
+
+class TestNumericalFailure:
+    # overflowing sums and products on the way to the package's own check
+    # must not print numpy warnings ahead of its one line
+    HUGE = "".join(f"{v:g}\n" for v in np.where(
+        np.random.default_rng(0).random(60) < 0.5, -1e308, 1e308))
+
+    @pytest.mark.parametrize("args", [
+        *(["ci", "--stat", s] for s in ("mean", "median", "acov:1", "acf:1",
+                                        "specmean:pi/2", "specratio:pi/2", "ladar:1")),
+        *(["test-noncorr", "--k", "2", "--method", m] for m in ("sn", "lobato", "nw")),
+    ], ids=lambda args: f"{args[0]}-{args[2] if args[0] == 'ci' else args[-1]}")
+    def test_one_line_on_stderr(self, args):
+        r = run_cli(args, stdin=self.HUGE)
+        assert r.returncode == 2
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        assert lines[0].startswith("selfnorm: numerical failure:")
 
 
 class TestCritvals:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from selfnorm.core import DegenerateVarianceError, RngStream, ValidationError
+from selfnorm import estimators
+from selfnorm.core import DegenerateVarianceError, RngStream, SolverFailedError, ValidationError
 from selfnorm.estimators import (
     EstimatorSpec,
     PhiSpec,
@@ -105,7 +106,7 @@ class TestPrefixMedian:
         spec = EstimatorSpec.parse("median")
         values, _, _ = batch_prefix_values(spec, x)
         expect = np.stack([np.median(x[:, :t], axis=1) for t in range(1, n + 1)], axis=1)
-        np.testing.assert_array_equal(values, expect)
+        np.testing.assert_array_equal(values[:, :, 0], expect)
 
 
 class TestPrefixAutocov:
@@ -298,7 +299,7 @@ class TestLevelOffsetAndScale:
         values, _, ok = batch_prefix_values(spec, x[None, :])
         expect, scale = _two_pass_oracle(spec, x)
         assert ok[0]
-        assert np.max(np.abs(values[0] - expect) / scale) <= tol
+        assert np.max(np.abs(values[0, :, 0] - expect) / scale) <= tol
 
     @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("a", [1e150, 1e-150])
@@ -309,7 +310,7 @@ class TestLevelOffsetAndScale:
         scaled, _, ok = batch_prefix_values(spec, a * _SERIES[None, :])
         assert ok[0]
         _, scale = _two_pass_oracle(spec, _SERIES)
-        assert np.max(np.abs(scaled[0] / a**power - base[0]) / scale) <= 1e-12
+        assert np.max(np.abs(scaled[0, :, 0] / a**power - base[0, :, 0]) / scale) <= 1e-12
 
     def test_offset_autocorrelation_not_degenerate(self):
         seq = prefix_autocorr(_SERIES + 1e8, 1)
@@ -367,6 +368,7 @@ class TestSpectralBruteForce:
 class TestBatchAgreement:
     @pytest.mark.parametrize("target", [
         "mean", "median", "acov:1", "acf:2", "specmean:pi/2", "specratio:pi/2",
+        "ladar:1", "ladar:2",
     ])
     def test_batch_rows_match_single_series(self, target, rng):
         spec = EstimatorSpec.parse(target)
@@ -376,7 +378,30 @@ class TestBatchAgreement:
         for i in range(4):
             seq = prefix_estimates(spec, x[i])
             assert seq.first_valid == first_valid
-            np.testing.assert_allclose(values[i], seq.estimates[:, 0], atol=1e-12)
+            np.testing.assert_allclose(values[i], seq.estimates, atol=1e-12)
+
+    def test_failed_lad_fit_marks_only_its_row(self, rng, monkeypatch):
+        spec = EstimatorSpec.parse("ladar:2")
+        x = rng.standard_normal((3, 30))
+        x[1, 2] = 123.0  # the first response of the middle row: its fits fail
+        real = estimators._lad_fit
+
+        def fit(a, y, start):
+            if y[0] == 123.0:
+                raise SolverFailedError("injected")
+            return real(a, y, start)
+
+        monkeypatch.setattr(estimators, "_lad_fit", fit)
+        values, first_valid, ok = batch_prefix_values(spec, x)
+        assert values.shape == (3, 30 - first_valid + 1, 2)
+        assert ok.tolist() == [True, False, True]
+        assert np.isnan(values[1]).all()
+        rest, _, rest_ok = batch_prefix_values(spec, x[[0, 2]])
+        assert rest_ok.all()
+        np.testing.assert_array_equal(values[[0, 2]], rest)
+        # a single series keeps the solver's own error
+        with pytest.raises(SolverFailedError, match="injected"):
+            prefix_estimates(spec, x[1])
 
 
 @st.composite

@@ -88,10 +88,10 @@ def _trajectories(x, q):
     q = 1, else the acov:1..q stack on the prefixes where every lag is valid."""
     if q == 1:
         values, fv, _ = batch_prefix_values(EstimatorSpec.parse("mean"), x)
-        return values[:, :, None], fv
+        return values, fv
     parts = [batch_prefix_values(EstimatorSpec.parse(f"acov:{j}"), x) for j in range(1, q + 1)]
     fv = max(p[1] for p in parts)
-    return np.stack([v[:, fv - f:] for v, f, _ in parts], axis=-1), fv
+    return np.concatenate([v[:, fv - f:] for v, f, _ in parts], axis=-1), fv
 
 
 class TestWnBatch:
