@@ -10,11 +10,11 @@ estimator, ladar included, is evaluated on all resamples at once by
 batch_prefix_values.
 
 Degenerate resamples: a resample whose estimate is undefined (a vanished
-prefix variance, a failed fit) is redrawn up to MAX_RETRIES times and then
-dropped.  The self-normalized scheme also drops resamples whose normalizer
-W* is not positive definite, without redrawing them.  More than MAX_BAD_FRAC
-of the replications dropped, for either reason, raises
-TooManyDegenerateResamplesError.
+prefix variance, a failed fit) or whose trajectory overflows is redrawn up
+to MAX_RETRIES times and then dropped.  The self-normalized scheme also
+drops resamples whose normalizer W* is not positive definite, without
+redrawing them.  More than MAX_BAD_FRAC of the replications dropped, for
+either reason, raises TooManyDegenerateResamplesError.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) -> tuple[np.nd
 
     def evaluate(rows: int) -> tuple[np.ndarray, np.ndarray]:
         vals, _, ok = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
-        return vals, ok
+        return vals, ok & np.isfinite(vals).all(axis=(1, 2))
 
     vals, ok = evaluate(cfg.replications)
     for _ in range(MAX_RETRIES):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -433,92 +432,81 @@ def prefix_spectral_ratio(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
 # Least absolute deviation autoregression
 # ---------------------------------------------------------------------------
 
-_LAD_TOL = 1e-9
-_LAD_MAX_ITER = 200
-_LAD_RESID_FLOOR = 1e-8
-
-
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    half = w.sum() / 2.0
-    cum = np.cumsum(w)
-    i = int(np.searchsorted(cum, half))
-    if i + 1 < len(v) and abs(cum[i] - half) <= 1e-12 * max(half, 1.0):
-        return (v[i] + v[i + 1]) / 2.0
-    return float(v[min(i, len(v) - 1)])
-
-
-def _lad_coordinate_descent(a: np.ndarray, y: np.ndarray, start: np.ndarray) -> Optional[np.ndarray]:
-    """Exact 1-d minimization per coordinate via weighted medians of the
-    residual breakpoints; used when IRLS stalls."""
-    theta = start.copy()
-    p = a.shape[1]
-    for _ in range(200):
-        moved = 0.0
-        for j in range(p):
-            col = a[:, j]
-            mask = np.abs(col) > 0.0
-            if not mask.any():
-                continue
-            partial = y - a @ theta + col * theta[j]
-            ratios = partial[mask] / col[mask]
-            new = _weighted_median(ratios, np.abs(col[mask]))
-            moved = max(moved, abs(new - theta[j]))
-            theta[j] = new
-        if moved < _LAD_TOL:
-            return theta
-    return None
-
-
-def _lad_fit(a: np.ndarray, y: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
-    """Iteratively reweighted least squares for the L1 autoregression.
-
-    IRLS with a residual floor can stall at a non-optimal fixed point, so its
-    output is always polished by exact coordinate descent (weighted medians of
-    the breakpoints), which settles on the piecewise-linear minimizer.
-    """
-    if start is None:
-        theta, *_ = np.linalg.lstsq(a, y, rcond=None)
-    else:
-        theta = start.copy()
-    for _ in range(_LAD_MAX_ITER):
-        resid = y - a @ theta
-        w = 1.0 / np.maximum(np.abs(resid), _LAD_RESID_FLOOR)
-        aw = a * w[:, None]
-        try:
-            new = np.linalg.solve(a.T @ aw, aw.T @ y)
-        except np.linalg.LinAlgError:
-            break
-        step = float(np.max(np.abs(new - theta)))
-        theta = new
-        if step < _LAD_TOL:
-            break
-    polished = _lad_coordinate_descent(a, y, theta)
-    if polished is None:
-        raise SolverFailedError("L1 autoregression did not converge")
-    return polished
-
-
 def _lad_path(x: np.ndarray, p: int) -> np.ndarray:
     """(n - p - 9, p) LAD autoregression coefficients of the prefixes
-    p+10..n of x; IRLS with warm starts, exact coordinate descent as the
-    fallback.  Raises SolverFailedError when a prefix's fit does not converge."""
+    p+10..n of x, each an exact L1 optimum.
+
+    Edge descent on the L1 objective (Barrodale and Roberts, 1973), warm
+    started from one prefix to the next, in the orthonormal coordinates
+    phi = S V' theta of the design's numerical range: a level offset leaves
+    the basis well conditioned, and a rank-deficient design (a constant
+    series) gets the least-norm theta.  The state is phi, a basis B of rows
+    with zero residual, and one stored sign per row, recomputed only where
+    the residual is clear of zero.  With g = sum_{i not in B} s_i a_i, basis
+    duals u = lstsq(A_B', g) and the unfitted remainder h = g - A_B' u:
+    h != 0 is a descent edge on which B gains a row; else |u| <= 1 certifies
+    the prefix optimal; else the lowest-numbered row with |u_j| > 1 leaves B
+    along A_B d = sign(u_j) e_j.  Each edge is followed to the breakpoint
+    where the slope turns nonnegative.  Stored signs and the lowest-row rule
+    keep degenerate vertices (ties, exact fits) from cycling.  Raises
+    SolverFailedError when a prefix is not certified after 10 m pivots.
+    """
     first = p + LAD_EXTRA_PREFIX
-    design_full = np.column_stack([x[p - 1 - j: len(x) - 1 - j] for j in range(p)])
-    y_full = x[p:]  # row i of design_full predicts y_full[i]
-    out = np.empty((len(x) - first + 1, p))
-    theta: Optional[np.ndarray] = None
-    for i in range(out.shape[0]):
-        m = first - p + i
-        theta = _lad_fit(design_full[:m], y_full[:m], theta)
-        out[i] = theta
-    return out
+    design = np.column_stack([x[p - 1 - j: len(x) - 1 - j] for j in range(p)])
+    y_full = x[p:]  # row i of design predicts y_full[i]
+    q, sv, vt = np.linalg.svd(design, full_matrices=False)
+    if not np.isfinite(sv[0]):
+        raise SolverFailedError("L1 autoregression design overflows")
+    rank = int((sv > sv[0] * len(y_full) * np.finfo(float).eps).sum())
+    out = np.zeros((len(x) - first + 1, rank))
+    if rank == 0:  # an all-zero design: every theta fits alike
+        return np.zeros((out.shape[0], p))
+    a_full = q[:, :rank]
+    # |g| <= m max|a|: a remainder below 1e-10 of that bound is rounding
+    g_noise = 1e-10 * np.abs(a_full).max()
+    zero = 1e-12 * np.abs(x).max()
+    phi, basis, sign = np.zeros(rank), [], np.where(y_full >= 0.0, 1.0, -1.0)
+    for k in range(out.shape[0]):
+        m = first - p + k
+        a, y = a_full[:m], y_full[:m]
+        for _ in range(10 * m):
+            r = y - a @ phi
+            sign[:m] = np.where(np.abs(r) > zero, np.sign(r), sign[:m])
+            s = sign[:m].copy()
+            s[basis] = 0.0  # a basis row's stored sign is reset when it leaves
+            g = s @ a
+            a_b = a[basis]
+            u = np.linalg.lstsq(a_b.T, g, rcond=None)[0]
+            d = g - a_b.T @ u
+            if not np.abs(d).max() > m * g_noise:
+                if np.all(np.abs(u) <= 1.0 + 1e-9):
+                    break
+                row, j = min((b, j) for j, b in enumerate(basis) if abs(u[j]) > 1.0 + 1e-9)
+                e = np.zeros(len(basis))
+                e[j] = np.sign(u[j])
+                d = np.linalg.lstsq(a_b, e, rcond=None)[0]
+                s[row] = sign[row] = -e[j]
+                basis.remove(row)
+            c = a @ d
+            rows = np.flatnonzero(s * c > 1e-12 * np.abs(d).sum())
+            if rows.size == 0:
+                raise SolverFailedError("L1 autoregression found no breakpoint on a descent edge")
+            t = np.maximum(r[rows] / c[rows], 0.0)
+            order = np.argsort(t, kind="stable")  # ties in row order
+            slope = np.cumsum(2.0 * np.abs(c[rows[order]])) - s @ c
+            stop = min(int(np.searchsorted(slope, 0.0)), rows.size - 1)
+            sign[rows[order[:stop]]] *= -1.0
+            phi = phi + t[order[stop]] * d
+            basis.append(int(rows[order[stop]]))
+        else:
+            raise SolverFailedError("L1 autoregression did not converge")
+        out[k] = phi
+    return (out / sv[:rank]) @ vt[:rank]
 
 
 def _batch_lad_ar(x: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """batch_prefix_values for ladar:p; a row whose fit fails is not ok."""
+    """batch_prefix_values for ladar:p, each prefix an exact L1 optimum
+    certified by its duals; a row whose solver fails is not ok."""
     b, n = x.shape
     first = p + LAD_EXTRA_PREFIX
     if n < first:
@@ -537,25 +525,18 @@ def prefix_lad_ar(ts: SeriesLike, p: int) -> EstimateSequence:
     """Running LAD autoregression coefficients, prefixes p+10..n.
 
     Each prefix solves argmin over phi of sum |X_t - phi_1 X_{t-1} - ... -
-    phi_p X_{t-p}|; IRLS with warm starts, exact coordinate descent as the
-    fallback.
+    phi_p X_{t-p}| exactly; the optimum is certified by its duals at every
+    prefix.
     """
-    if p < 1:
-        raise ValidationError("autoregression order must be >= 1")
-    s = as_series(ts)
-    first = p + LAD_EXTRA_PREFIX
-    if s.n < first:
-        raise TooShortError(s.n, first)
-    return EstimateSequence(_lad_path(s.values, p), first, s.n)
+    return prefix_estimates(EstimatorSpec("ladar", order=p), ts)
 
 
 def prefix_estimates(spec: EstimatorSpec, ts: SeriesLike) -> EstimateSequence:
-    """Evaluate any estimator spec on one series: a batch of one, except
-    that ladar calls prefix_lad_ar, so a failed fit raises its own error."""
+    """Evaluate any estimator spec on one series: a batch of one."""
     s = as_series(ts)
-    if spec.kind == "ladar":
-        return prefix_lad_ar(s, spec.order)
     vals, first_valid, ok = batch_prefix_values(spec, s.values[None, :])
     if not ok[0]:
+        if spec.kind == "ladar":
+            raise SolverFailedError("L1 autoregression did not converge")
         raise DegenerateVarianceError(f"a prefix variance vanished; {spec.canonical()} undefined")
     return EstimateSequence(vals[0], first_valid, s.n)

@@ -156,8 +156,8 @@ def sn_interval(
     if seq.dim != 1:
         raise ValueError("sn_interval is for scalar estimators; use sn_region")
     w = wn_matrix(seq)[0, 0]
-    if not w > 0.0:
-        raise NotPositiveDefiniteError("self-normalizer is not positive")
+    if not 0.0 < w < np.inf:
+        raise NotPositiveDefiniteError("self-normalizer is not positive and finite")
     half = float(np.sqrt(critval * w / seq.n_eff))
     est = float(seq.final[0])
     return SelfNormResult(

@@ -150,18 +150,17 @@ class TestSchemes:
 
 
 def _patch_lad_fit(monkeypatch, replace):
-    """Route the LAD fit through replace(path, real, *args), path counting
-    the coefficient paths begun so far (0: the original series); returns the
-    list of paths begun."""
-    real = estimators._lad_fit
+    """Route the LAD path solver through replace(path, real, *args), path
+    counting the coefficient paths begun so far (0: the original series);
+    returns the list of paths begun."""
+    real = estimators._lad_path
     paths = []
 
-    def fit(a, y, start):
-        if start is None:  # the first prefix of a new path
-            paths.append(len(paths))
-        return replace(paths[-1], real, a, y, start)
+    def fit(x, p):
+        paths.append(len(paths))
+        return replace(paths[-1], real, x, p)
 
-    monkeypatch.setattr(estimators, "_lad_fit", fit)
+    monkeypatch.setattr(estimators, "_lad_path", fit)
     return paths
 
 
@@ -187,9 +186,9 @@ class TestSingularResamplePivots:
     CFG = MbbConfig(block_length=4, replications=50, seed=1)
 
     def _run(self, monkeypatch, singular):
-        def fit(path, real, a, y, start):
+        def fit(path, real, x, p):
             # a constant coefficient path has W* = 0
-            return np.zeros(a.shape[1]) if path in singular else real(a, y, start)
+            return np.zeros_like(real(x, p)) if path in singular else real(x, p)
 
         paths = _patch_lad_fit(monkeypatch, fit)
         x = RngStream(22).generator().standard_normal(60)

@@ -207,19 +207,30 @@ class TestNoncorr:
         assert capsys.readouterr().err == f"selfnorm: {message}\n"
 
 
-class TestNumericalFailure:
-    # overflowing sums and products on the way to the package's own check
-    # must not print numpy warnings ahead of its one line
-    HUGE = "".join(f"{v:g}\n" for v in np.where(
-        np.random.default_rng(0).random(60) < 0.5, -1e308, 1e308))
+# overflowing sums and products on the way to the package's own check must
+# not print numpy warnings ahead of its one line
+_HUGE = "".join(f"{v:g}\n" for v in np.where(
+    np.random.default_rng(0).random(60) < 0.5, -1e308, 1e308))
+# alternating signs keep every prefix mean and median finite while W and the
+# resampled trajectories overflow
+_ALTERNATING = "1e+308\n-1e+308\n" * 30
 
-    @pytest.mark.parametrize("args", [
-        *(["ci", "--stat", s] for s in ("mean", "median", "acov:1", "acf:1",
-                                        "specmean:pi/2", "specratio:pi/2", "ladar:1")),
-        *(["test-noncorr", "--k", "2", "--method", m] for m in ("sn", "lobato", "nw")),
-    ], ids=lambda args: f"{args[0]}-{args[2] if args[0] == 'ci' else args[-1]}")
-    def test_one_line_on_stderr(self, args):
-        r = run_cli(args, stdin=self.HUGE)
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("args,series", [
+        *(pytest.param(["ci", "--stat", s], _HUGE, id=f"ci-{s}")
+          for s in ("mean", "median", "acov:1", "acf:1", "specmean:pi/2",
+                    "specratio:pi/2", "ladar:1")),
+        *(pytest.param(["test-noncorr", "--k", "2", "--method", m], _HUGE, id=f"test-noncorr-{m}")
+          for m in ("sn", "lobato", "nw")),
+        *(pytest.param(["ci", "--stat", s], _ALTERNATING, id=f"ci-{s}-alternating")
+          for s in ("mean", "median")),
+        *(pytest.param(["ci", "--stat", s, "--method", m, "--block", "5", "--reps", "200",
+                        "--seed", "1"], _ALTERNATING, id=f"ci-{s}-{m}-alternating")
+          for s in ("mean", "median") for m in ("mbb-pct", "mbb-normal")),
+    ])
+    def test_one_line_on_stderr(self, args, series):
+        r = run_cli(args, stdin=series)
         assert r.returncode == 2
         lines = r.stderr.splitlines()
         assert len(lines) == 1, r.stderr

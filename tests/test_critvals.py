@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,37 @@ class TestPublishedValues:
         assert table.quantile(0.05) == pytest.approx(45.40, abs=0.5)
         assert table.grid == DEFAULT_GRID
         assert table.seed == DEFAULT_SEED
+
+
+def _exact_q1_tail(u):
+    """P(U_1 > u) = P(Z^2 - u omega^2 > 0) by Gil-Pelaez inversion of
+    phi(t) = (1 - 2it)^{-1/2} (w / sinh w)^{1/2}, w = sqrt(2iut)."""
+    from scipy.integrate import quad
+
+    def integrand(t):
+        w = np.sqrt(2j * u * t)  # first quadrant
+        # log(sinh w / w), continuous along the path
+        log_shc = w - math.log(2.0) + np.log(-np.expm1(-2.0 * w)) - np.log(w)
+        return np.exp(-0.5 * np.log(1.0 - 2j * t) - 0.5 * log_shc).imag / t
+
+    return 0.5 + quad(integrand, 0.0, np.inf, limit=200, epsabs=1e-12)[0] / math.pi
+
+
+class TestExactQ1Law:
+    EXACT = {0.10: 28.3309, 0.05: 45.5261, 0.025: 66.5861, 0.01: 100.3456}
+
+    @pytest.mark.parametrize("alpha", sorted(EXACT))
+    def test_shipped_q1_quantile_within_three_standard_errors(self, alpha):
+        from scipy.optimize import brentq
+
+        exact = brentq(lambda u: _exact_q1_tail(u) - alpha, 5.0, 500.0, xtol=1e-9)
+        assert exact == pytest.approx(self.EXACT[alpha], abs=1e-4)
+        table = _shipped()[_default_key(1)]
+        step = 1e-3 * exact
+        density = (_exact_q1_tail(exact - step) - _exact_q1_tail(exact + step)) / (2.0 * step)
+        # standard error of the empirical (1 - alpha) quantile of reps draws
+        se = math.sqrt(alpha * (1.0 - alpha) / table["reps"]) / density
+        assert abs(table["quantiles"][f"{alpha:.6f}"] - exact) <= 3.0 * se
 
 
 class TestShippedTables:

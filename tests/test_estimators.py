@@ -249,6 +249,62 @@ class TestLadAr:
         best = grid[np.argmin(losses)]
         assert seq.final[0] == pytest.approx(best, abs=2e-4)
 
+    @staticmethod
+    def _ar(phis, n, seed):
+        e = RngStream(seed).generator().standard_normal(n + 50)
+        x = np.zeros(n + 50)
+        for t in range(len(phis), n + 50):
+            x[t] = sum(c * x[t - 1 - j] for j, c in enumerate(phis)) + e[t]
+        return x[50:]
+
+    @staticmethod
+    def _noiseless_ar2():
+        x = np.zeros(80)
+        x[:2] = 1.0, 0.3
+        for t in range(2, 80):
+            x[t] = 0.6 * x[t - 1] + 0.3 * x[t - 2]
+        return x
+
+    @pytest.mark.parametrize("case", [
+        "ar1", "ar2", "ar3", "int1", "int2", "int3", "noiseless", "constant"])
+    def test_every_prefix_attains_the_lp_optimum(self, case):
+        # LAD minimizers need not be unique, so the objectives are compared
+        from scipy.optimize import linprog
+        from scipy.sparse import csr_matrix, eye, hstack
+
+        phis = {"1": [0.5], "2": [0.6, 0.3], "3": [0.4, 0.2, 0.2]}
+        if case.startswith("ar"):
+            p, x = int(case[2]), self._ar(phis[case[2]], 80, 31 + int(case[2]))
+        elif case.startswith("int"):  # ties and exact fits
+            p, x = int(case[3]), np.round(1.5 * self._ar([0.5, 0.2], 80, 41))
+        elif case == "noiseless":
+            p, x = 2, self._noiseless_ar2()
+        else:
+            p, x = 2, np.full(60, 3.0)
+        path = estimators._lad_path(x, p)
+        a_full = np.column_stack([x[p - 1 - j: len(x) - 1 - j] for j in range(p)])
+        first = p + estimators.LAD_EXTRA_PREFIX
+        for k, theta in enumerate(path):
+            a, y = a_full[: first - p + k], x[p: first + k]
+            m = y.size
+            lp = linprog(np.r_[np.zeros(p), np.ones(2 * m)],
+                         A_eq=hstack([csr_matrix(a), eye(m), -eye(m)]), b_eq=y,
+                         bounds=[(None, None)] * p + [(0, None)] * (2 * m), method="highs")
+            assert lp.status == 0
+            obj = np.abs(y - a @ theta).sum()
+            assert obj == pytest.approx(lp.fun, rel=1e-9, abs=1e-12 * np.abs(y).sum()), k
+
+    @pytest.mark.parametrize("n,rep", [(600, 21), (150, 40)])
+    def test_study_5b_replications_solve(self, n, rep):
+        # the two m9 replications whose ladar:2 paths stopped study 5b at
+        # seed 1 with "did not converge"
+        from selfnorm.dgp import generate_batch
+
+        x = generate_batch("m9", n, [RngStream(1).child("rep", rep)])
+        values, _, ok = batch_prefix_values(EstimatorSpec.parse("ladar:2"), x)
+        assert ok.all()
+        assert np.isfinite(values).all()
+
 
 def _two_pass_acov_table(x):
     """gamma[t][k] for every prefix t and lag k < t: centre x[:t] by its own
@@ -383,15 +439,15 @@ class TestBatchAgreement:
     def test_failed_lad_fit_marks_only_its_row(self, rng, monkeypatch):
         spec = EstimatorSpec.parse("ladar:2")
         x = rng.standard_normal((3, 30))
-        x[1, 2] = 123.0  # the first response of the middle row: its fits fail
-        real = estimators._lad_fit
+        x[1, 2] = 123.0  # marks the middle row: its path fails
+        real = estimators._lad_path
 
-        def fit(a, y, start):
-            if y[0] == 123.0:
+        def path(row, p):
+            if row[2] == 123.0:
                 raise SolverFailedError("injected")
-            return real(a, y, start)
+            return real(row, p)
 
-        monkeypatch.setattr(estimators, "_lad_fit", fit)
+        monkeypatch.setattr(estimators, "_lad_path", path)
         values, first_valid, ok = batch_prefix_values(spec, x)
         assert values.shape == (3, 30 - first_valid + 1, 2)
         assert ok.tolist() == [True, False, True]
@@ -399,8 +455,8 @@ class TestBatchAgreement:
         rest, _, rest_ok = batch_prefix_values(spec, x[[0, 2]])
         assert rest_ok.all()
         np.testing.assert_array_equal(values[[0, 2]], rest)
-        # a single series keeps the solver's own error
-        with pytest.raises(SolverFailedError, match="injected"):
+        # a single series is a batch of one
+        with pytest.raises(SolverFailedError, match="did not converge"):
             prefix_estimates(spec, x[1])
 
 
