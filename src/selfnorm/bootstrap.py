@@ -4,10 +4,14 @@ Three schemes around one resampling engine: the raw percentile interval for
 sqrt(N)(est* - est), the normal interval with a bootstrap standard error, and
 the bootstrapped self-normalized interval, which replaces the simulated limit
 quantile by the bootstrap quantile of the resampled pivot.  Resamples draw
-ceil(n/l) blocks of length l uniformly and truncate the concatenation to n,
-so a fractional last block is used when l does not divide n.  Every
-estimator, ladar included, is evaluated on all resamples at once by
-batch_prefix_values.
+ceil(n/l) blocks of length l uniformly, rows of the series' sliding-window
+view, and truncate the concatenation to n, so a fractional last block is used
+when l does not divide n.  Every estimator, ladar included, is evaluated on
+all resamples at once by batch_prefix_values.
+
+Scheme statistics (root quantiles, root variance, pivot quantile) take one
+resample set per row.  The public schemes are batches of one; a Monte Carlo
+sweep evaluates them once per replication for all block lengths.
 
 Degenerate resamples: a resample whose estimate is undefined (a vanished
 prefix variance, a failed fit) or whose trajectory overflows is redrawn up
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     BlockTooLongError,
@@ -109,11 +114,10 @@ def assemble_blocks(values: np.ndarray, starts: np.ndarray, block_length: int) -
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     starts = np.asarray(starts)
-    idx = starts[..., :, None] + np.arange(block_length)
-    idx = idx.reshape(*starts.shape[:-1], -1)[..., :n]
-    if idx.shape[-1] < n:
+    if starts.shape[-1] * block_length < n:
         raise ValidationError("not enough blocks to cover the series")
-    return values[idx]
+    blocks = np.take(sliding_window_view(values, block_length), starts, axis=0)
+    return blocks.reshape(*starts.shape[:-1], -1)[..., :n]
 
 
 def _draw(x: np.ndarray, block_length: int, rows: int, gen: np.random.Generator) -> np.ndarray:
@@ -157,7 +161,9 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) -> tuple[np.nd
 
     def evaluate(rows: int) -> tuple[np.ndarray, np.ndarray]:
         vals, _, ok = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
-        return vals, ok & np.isfinite(vals).all(axis=(1, 2))
+        if not np.isfinite(vals).all():  # one flat test; the per-row one costs more
+            ok = ok & np.isfinite(vals).all(axis=(1, 2))
+        return vals, ok
 
     vals, ok = evaluate(cfg.replications)
     for _ in range(MAX_RETRIES):
@@ -165,36 +171,42 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) -> tuple[np.nd
         if bad.size == 0:
             break
         vals[bad], ok[bad] = evaluate(bad.size)
-    dropped = int((~ok).sum())
+    dropped = cfg.replications - int(np.count_nonzero(ok))
     _check_bad(dropped, cfg)
-    return vals[ok], dropped
+    return (vals[ok] if dropped else vals), dropped
 
 
-def _percentile_interval(root: np.ndarray, est: float, n: int, level: float) -> Interval:
-    alpha = 1.0 - level
-    q_lo, q_hi = np.quantile(root, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return Interval(est - q_hi / math.sqrt(n), est - q_lo / math.sqrt(n))
-
-
-def _normal_interval(root: np.ndarray, est: float, n: int, level: float) -> tuple[Interval, float]:
-    # a degenerate root (constant series) legitimately gives a point interval
-    sigma2 = float(np.var(root, ddof=1))
-    z = normal_quantile(0.5 + level / 2.0)
-    half = z * math.sqrt(sigma2 / n)
-    return Interval(est - half, est + half), sigma2
-
-
-def _sn_quantile(
-    vals: np.ndarray, est: Union[float, np.ndarray], n: int, spec: EstimatorSpec, cfg: MbbConfig, dropped: int
-) -> float:
-    """Bootstrap quantile of the pivot n (est* - est)' W*^{-1} (est* - est).
-
-    Resamples whose W* is not positive definite are dropped and count with
-    the already dropped ones toward MAX_BAD_FRAC.
-    """
+def _pivots(vals: np.ndarray, est, n: int, spec: EstimatorSpec, cfg: MbbConfig, dropped: int) -> np.ndarray:
+    """Resampled pivots n (est* - est)' W*^{-1} (est* - est).  Resamples whose
+    W* is not positive definite are left out and count with the dropped ones
+    toward MAX_BAD_FRAC."""
     _, pivots, good = wn_scalar_batch(vals, spec.first_valid(), n, est)
-    _check_bad(dropped + int((~good).sum()), cfg)
-    return float(np.quantile(pivots[good], cfg.level))
+    singular = vals.shape[0] - int(np.count_nonzero(good))
+    _check_bad(dropped + singular, cfg)
+    return pivots[good] if singular else pivots
+
+
+def _percentile_bounds(root: np.ndarray, est, n: int, level: float) -> np.ndarray:
+    """(lower, upper) of the percentile interval per row of the roots (m, R)."""
+    alpha = 1.0 - level
+    q_lo, q_hi = np.quantile(root, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1)
+    return np.array([est - q_hi / math.sqrt(n), est - q_lo / math.sqrt(n)])
+
+
+def _normal_bounds(root: np.ndarray, est, n: int, level: float) -> np.ndarray:
+    """(lower, upper, sigma2) of the normal interval per row of the roots;
+    a degenerate root (constant series) legitimately gives a point interval."""
+    sigma2 = np.var(root, axis=1, ddof=1)
+    half = normal_quantile(0.5 + level / 2.0) * np.sqrt(sigma2 / n)
+    return np.array([est - half, est + half, sigma2])
+
+
+def _stacked(stat, samples: list, *args) -> np.ndarray:
+    """stat of 1-D samples stacked as rows; samples that differ in length
+    (dropped resamples) go through it one batch of one each."""
+    if len({v.size for v in samples}) == 1:
+        return stat(np.stack(samples), *args)
+    return np.concatenate([stat(v[None], *args) for v in samples], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +214,14 @@ def _sn_quantile(
 # ---------------------------------------------------------------------------
 
 def _scalar_root(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig, scheme: str):
-    """(series, estimate, bootstrap root sqrt(N)(est* - est)) for scalar schemes."""
+    """(series, estimate, bootstrap root sqrt(N)(est* - est) as a batch of
+    one) for scalar schemes."""
     s = as_series(ts)
     if spec.dim != 1:
         raise ValidationError(f"{scheme} scheme handles scalar estimators only")
     est = float(prefix_estimates(spec, s).final[0])
     finals = _resample(s.values, spec, cfg)[0][:, -1, 0]
-    return s, est, math.sqrt(s.n) * (finals - est)
+    return s, est, math.sqrt(s.n) * (finals - est)[None]
 
 
 def _result(
@@ -237,14 +250,16 @@ def mbb_percentile_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> Mb
     """Scheme 1: percentile interval from the bootstrap law of
     sqrt(N)(est* - est)."""
     s, est, root = _scalar_root(ts, spec, cfg, "percentile")
-    return _result("mbb-pct", spec, cfg, est, s.n, _percentile_interval(root, est, s.n, cfg.level))
+    lower, upper = _percentile_bounds(root, est, s.n, cfg.level)
+    return _result("mbb-pct", spec, cfg, est, s.n, Interval(lower[0], upper[0]))
 
 
 def mbb_normal_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
     """Scheme 2: normal interval with the bootstrap variance of the root."""
     s, est, root = _scalar_root(ts, spec, cfg, "normal")
-    region, sigma2 = _normal_interval(root, est, s.n, cfg.level)
-    return _result("mbb-normal", spec, cfg, est, s.n, region, sigma2=sigma2)
+    lower, upper, sigma2 = _normal_bounds(root, est, s.n, cfg.level)
+    region = Interval(lower[0], upper[0])
+    return _result("mbb-normal", spec, cfg, est, s.n, region, sigma2=float(sigma2[0]))
 
 
 def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
@@ -257,7 +272,8 @@ def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
     s = as_series(ts)
     seq = prefix_estimates(spec, s)
     vals, dropped = _resample(s.values, spec, cfg)
-    ustar = _sn_quantile(vals, seq.final, s.n, spec, cfg, dropped)
+    pivots = _pivots(vals, seq.final, s.n, spec, cfg, dropped)
+    ustar = float(np.quantile(pivots, cfg.level))
     build = sn_interval if spec.dim == 1 else sn_region
     region = build(seq, ustar, cfg.level, estimator=spec.canonical()).region
     estimate = float(seq.final[0]) if spec.dim == 1 else seq.final.copy()
@@ -268,14 +284,9 @@ def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
 # Shared-resample suite (one draw set feeding all three schemes)
 # ---------------------------------------------------------------------------
 
-def bootstrap_suite(
-    x: np.ndarray,
-    spec: EstimatorSpec,
-    cfg: MbbConfig,
-    est: float,
-    w: float,
-) -> dict:
-    """All three bootstrap intervals from one resample set.
+def bootstrap_suite(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est: float, w: float) -> tuple:
+    """(root sqrt(N)(est* - est), pivots) of one resample set, which all three
+    schemes reduce (see suite_intervals).
 
     est and w are the estimate and the self-normalizer W of the original
     series (scalar estimators only).  Used by the Monte Carlo sweeps, where
@@ -286,13 +297,16 @@ def bootstrap_suite(
         raise DegenerateVarianceError("self-normalizer of the original series is zero")
     n = x.shape[0]
     vals, dropped = _resample(x, spec, cfg)
-    root = math.sqrt(n) * (vals[:, -1, 0] - est)
-    nrm, _ = _normal_interval(root, est, n, cfg.level)
-    ustar = _sn_quantile(vals, est, n, spec, cfg, dropped)
-    half_sn = math.sqrt(ustar * w / n)
+    return math.sqrt(n) * (vals[:, -1, 0] - est), _pivots(vals, est, n, spec, cfg, dropped)
+
+
+def suite_intervals(roots: list, pivots: list, est: float, w: float, n: int, level: float) -> dict:
+    """{scheme: (lower, upper)} for m resample sets of one series, each bound
+    an (m,) array, from the bootstrap_suite vectors of every set: the
+    statistics of the single-series schemes, evaluated for all sets at once."""
+    half_sn = np.sqrt(_stacked(lambda p: np.quantile(p, level, axis=1), pivots) * w / n)
     return {
-        "mbb-pct": _percentile_interval(root, est, n, cfg.level),
-        "mbb-normal": nrm,
-        "mbb-sn": Interval(est - half_sn, est + half_sn),
-        "ustar": ustar,
+        "mbb-pct": _stacked(_percentile_bounds, roots, est, n, level),
+        "mbb-normal": _stacked(_normal_bounds, roots, est, n, level)[:2],
+        "mbb-sn": (est - half_sn, est + half_sn),
     }

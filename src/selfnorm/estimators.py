@@ -256,29 +256,35 @@ def _centered_prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xc, p
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """num / den per prefix; returns (values, ok_rows).
+def _ratio(num: np.ndarray, den: np.ndarray, t=(1.0,)) -> tuple[np.ndarray, np.ndarray]:
+    """num / den of time-major (rows, B) arrays; returns (values (B, rows),
+    ok_rows).
 
-    Rows whose denominator degenerates anywhere on the prefix range come back
-    as NaN with ok False; single-series callers turn that into
-    DegenerateVarianceError, resampling callers redraw.
+    den is t times a prefix variance.  Series whose variance degenerates
+    anywhere on the prefix range come back as NaN with ok False;
+    single-series callers turn that into DegenerateVarianceError, resampling
+    callers redraw.
     """
-    floor = _DEGENERATE_RTOL * np.maximum(den[:, -1], 0.0)[:, None]
-    ok = (den > floor).all(axis=1) & (den[:, -1] > 0.0)
+    t = np.asarray(t, dtype=np.float64)[:, None]
+    floor = _DEGENERATE_RTOL * np.maximum(den[-1] / t[-1], 0.0) * t
+    ok = (den > floor).all(axis=0) & (den[-1] > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / den
-    return np.where(ok[:, None], vals, np.nan), ok
+        vals = np.ascontiguousarray((num / den).T)
+    if not ok.all():
+        vals[~ok] = np.nan
+    return vals, ok
 
 
-def _autocov_grid(x: np.ndarray, lags: list[int], t_min: int) -> np.ndarray:
-    """(B, n) -> (B, n - t_min + 1, len(lags)) lag-k autocovariances, k in lags,
-    divisor t.
+def _lag_sums(x: np.ndarray, lags: list[int], t_min: int) -> tuple[np.ndarray, list]:
+    """Prefix lengths ts = t_min..n and, per lag k in lags, the time-major
+    (ts.size, B) mean-corrected lag-k sums t gamma_t(k) of the prefixes.
 
     On the centred rows of _centered_prefix_sums, with P the prefix sums,
     Q_t = sum_{j<=t-k} x_j x_{j+k} and m_t = P_t / t,
       sum_{j<=t-k} (x_j - m_t)(x_{j+k} - m_t)
         = Q_t - m_t (P_{t-k} + P_t - P_k) + (t-k) m_t^2,
-    so each lag costs O(B n) time and memory.
+    so each lag costs O(B n) time and memory.  Time-major, a slice over
+    prefixes is contiguous, so each pass over many short series is one loop.
     """
     x = _check_matrix(x)
     n, top = x.shape[1], max(lags)
@@ -286,29 +292,32 @@ def _autocov_grid(x: np.ndarray, lags: list[int], t_min: int) -> np.ndarray:
         raise LagTooLargeError(top, n)
     if t_min < top + 1:
         raise ValidationError(f"t_min {t_min} below first defined prefix {top + 1}")
-    xc, p = _centered_prefix_sums(x)
+    xc, p = (a.T.copy() for a in _centered_prefix_sums(x))
     ts = np.arange(t_min, n + 1)
-    pt = p[:, t_min:]
-    m = pt / ts
-    out = np.empty((x.shape[0], ts.size, len(lags)))
-    for i, k in enumerate(lags):
-        q = np.cumsum(xc[:, : n - k] * xc[:, k:], axis=1)  # q[:, i] = Q_{i+k+1}
-        num = q[:, t_min - k - 1:] - m * (p[:, t_min - k: n + 1 - k] + pt - p[:, k:k + 1])
-        out[:, :, i] = (num + (ts - k) * m * m) / ts
-    return out
+    pt = p[t_min:]
+    m = pt / ts[:, None]
+    sums = []
+    for k in lags:
+        q = np.cumsum(xc[: n - k] * xc[k:], axis=0)  # q[i] = Q_{i+k+1}
+        s = q[t_min - k - 1:] - m * (p[t_min - k: n + 1 - k] + pt - p[k])
+        s += (ts - k)[:, None] * m * m
+        sums.append(s)
+    return ts, sums
 
 
 def batch_prefix_autocov(x: np.ndarray, k: int) -> np.ndarray:
     """(B, n) -> (B, n-k-1) prefix autocovariances, prefixes k+2..n."""
-    return _autocov_grid(x, [k], _autocov_first_valid(k))[:, :, 0]
+    ts, (s,) = _lag_sums(x, [k], _autocov_first_valid(k))
+    return (s / ts[:, None]).T.copy()
 
 
 def batch_prefix_autocorr(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix lag-k autocorrelations; returns (values, ok_rows) as _ratio."""
+    """Prefix lag-k autocorrelations; returns (values, ok_rows) as _ratio.
+    The lag sums share the divisor t, so their ratio leaves it out."""
     if k < 1:
         raise ValidationError("autocorrelation lag must be >= 1")
-    grid = _autocov_grid(x, [k, 0], _autocov_first_valid(k))
-    return _ratio(grid[:, :, 0], grid[:, :, 1])
+    ts, (num, den) = _lag_sums(x, [k, 0], _autocov_first_valid(k))
+    return _ratio(num, den, ts)
 
 
 def _fft_len(m: int) -> int:
@@ -335,7 +344,7 @@ def batch_prefix_spectral(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prefix spectral averages S_t = sum_{k<t} g_k gamma_t(k) for t = 4..n.
 
-    Summing the lag-k formula of _autocov_grid against g gives, on the same
+    Summing the lag-k formula of _lag_sums against g gives, on the same
     centred rows and prefix sums P (P_0 = 0, m_t = P_t / t),
       S_t = (A_t - m_t (D_t + P_t G_t - H_t) + m_t^2 (t G_t - K_t)) / t
     with c = causal-conv(x, g), A = cumsum(x c), D = causal-conv(P, g), and
@@ -366,7 +375,7 @@ def batch_prefix_spectral(
     if not ratio:
         return s[:, first:], np.ones(b, dtype=bool)
     den = (np.cumsum(xc * xc, axis=1) - pt * m) / (2.0 * t)
-    return _ratio(s[:, first:], den[:, first:])
+    return _ratio(s[:, first:].T, den[:, first:].T)
 
 
 def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .bootstrap import MbbConfig, bootstrap_suite
+from .bootstrap import MbbConfig, bootstrap_suite, suite_intervals
 from .core import (
     NumericalError,
     RngStream,
@@ -249,12 +249,14 @@ def _sweep_chunk(
         out[(name, "width")] = np.empty(shape)
     for r, row in enumerate(x):
         boot_seed = stream_index_for(seed, "boot", lo + r)
-        for j, block in enumerate(block_lengths):
-            cfg = MbbConfig(block_length=block, replications=boot_reps, seed=boot_seed, level=level)
-            suite = bootstrap_suite(row, spec, cfg, center[r], w[r])
-            for name in _BOOT_SCHEMES:
-                out[(name, "cover")][r, j] = suite[name].contains(truth)
-                out[(name, "width")][r, j] = suite[name].width
+        sets = [
+            bootstrap_suite(row, spec, MbbConfig(block, boot_reps, boot_seed, level), center[r], w[r])
+            for block in block_lengths
+        ]
+        bounds = suite_intervals(*zip(*sets), center[r], w[r], n, level)
+        for name, (lower, upper) in bounds.items():
+            out[(name, "cover")][r] = (lower <= truth) & (truth <= upper)
+            out[(name, "width")][r] = upper - lower
     return out
 
 

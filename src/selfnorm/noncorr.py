@@ -36,7 +36,7 @@ from .core import (
     quadform_spd,
     solve_residual_batch,
 )
-from .estimators import _autocov_grid
+from .estimators import _lag_sums
 from .inference import Interval, _gram_quadform, wn_batch
 
 
@@ -89,7 +89,9 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     """
     b, n = x.shape
     check_k(n, k)
-    c = _autocov_grid(x, list(range(1, k + 1)), k + 2)  # (B, S, k)
+    ts, sums = _lag_sums(x, list(range(1, k + 1)), k + 2)
+    # (B, S, k) in C order: the BLAS Gram of a strided stack sums in another order
+    c = np.stack([s / ts[:, None] for s in sums], axis=2).transpose(1, 0, 2).copy()
     # the statistic does not change with the scale of c; fixing it keeps W,
     # which grows as the fourth power of the data's scale, within range
     size = np.abs(c).max(axis=(1, 2), keepdims=True)

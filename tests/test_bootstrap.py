@@ -1,5 +1,9 @@
 """Moving-block bootstrap: block assembly, scheme contracts, determinism."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +15,14 @@ from selfnorm.core import (
     RngStream,
     TooManyDegenerateResamplesError,
     ValidationError,
+    stream_index_for,
 )
 from selfnorm.critvals import get_quantile
+from selfnorm.dgp import generate_batch, true_value
 from selfnorm.estimators import EstimatorSpec, prefix_estimates
 from selfnorm.inference import wn_matrix
 from selfnorm import bootstrap, estimators
+from selfnorm.montecarlo import run_block_sweep
 from selfnorm.bootstrap import (
     MbbConfig,
     assemble_blocks,
@@ -24,9 +31,14 @@ from selfnorm.bootstrap import (
     mbb_percentile_ci,
     mbb_resample,
     mbb_sn_ci,
+    suite_intervals,
 )
 
 _MEAN = EstimatorSpec.parse("mean")
+# resamples and block-sweep rows recorded from the index-array gather and the
+# per-block scheme statistics, before the window gather replaced them
+_PINS = json.loads((Path(__file__).parent / "data" / "block_sweep_pins.json").read_text())
+_SCHEMES = {"mbb-pct": mbb_percentile_ci, "mbb-normal": mbb_normal_ci, "mbb-sn": mbb_sn_ci}
 
 
 class TestBlockAssembly:
@@ -43,6 +55,32 @@ class TestBlockAssembly:
     def test_too_few_blocks_rejected(self):
         with pytest.raises(ValidationError):
             assemble_blocks(np.arange(6.0), starts=np.array([0]), block_length=2)
+        with pytest.raises(ValidationError):
+            assemble_blocks(np.arange(7.0), starts=np.zeros((2, 3), dtype=int), block_length=2)
+
+
+def _index_gather(values, starts, block_length):
+    """Blocks gathered through an explicit index array starts + arange(l)."""
+    idx = starts[..., :, None] + np.arange(block_length)
+    return values[idx.reshape(*starts.shape[:-1], -1)[..., : values.shape[0]]]
+
+
+class TestWindowGather:
+    @pytest.mark.parametrize("n", [5, 12, 50])
+    def test_equals_the_index_gather_for_every_block_length(self, n):
+        gen = np.random.default_rng(n)
+        x = gen.standard_normal(n)
+        for block in range(1, n + 1):
+            starts = gen.integers(0, n - block + 1, size=(3, 4, math.ceil(n / block)))
+            got = assemble_blocks(x, starts, block)
+            assert got.shape == (3, 4, n)
+            assert got.tobytes() == _index_gather(x, starts, block).tobytes()
+
+    def test_resamples_match_the_recorded_arrays(self):
+        x = RngStream(5).generator().standard_normal(12)
+        for key, expect in _PINS["resample"].items():
+            seed, block = (int(v) for v in key.split(","))
+            assert mbb_resample(x, block, RngStream(seed)).tolist() == expect
 
 
 class TestResample:
@@ -211,7 +249,9 @@ class TestSuite:
         x = RngStream(20).generator().standard_normal(60)
         cfg = MbbConfig(block_length=5, replications=400, seed=1234, level=0.9)
         seq = prefix_estimates(_MEAN, x)
-        suite = bootstrap_suite(x, _MEAN, cfg, float(seq.final[0]), wn_matrix(seq)[0, 0])
+        est, w = float(seq.final[0]), wn_matrix(seq)[0, 0]
+        root, pivots = bootstrap_suite(x, _MEAN, cfg, est, w)
+        suite = suite_intervals([root], [pivots], est, w, x.size, cfg.level)
         builders = {
             "mbb-pct": mbb_percentile_ci,
             "mbb-normal": mbb_normal_ci,
@@ -219,6 +259,91 @@ class TestSuite:
         }
         for name, builder in builders.items():
             expect = builder(x, _MEAN, cfg).region
-            assert suite[name].lower == pytest.approx(expect.lower, abs=1e-12)
-            assert suite[name].upper == pytest.approx(expect.upper, abs=1e-12)
-        assert suite["ustar"] > 0
+            lower, upper = suite[name]
+            assert lower[0] == pytest.approx(expect.lower, abs=1e-12)
+            assert upper[0] == pytest.approx(expect.upper, abs=1e-12)
+        assert np.quantile(pivots, cfg.level) > 0
+
+
+class TestRaggedReplication:
+    """Resamples marked not ok in only some block lengths leave the block
+    lengths of one sweep replication with different kept counts; every
+    scheme's interval, the redraws and drops behind it, and the MAX_BAD_FRAC
+    verdict match the single-series schemes block by block."""
+
+    MODEL, N, SEED, REPS, LEVEL = "ar1:0.5:normal", 50, 5, 200, 0.9
+    BLOCKS = tuple(range(1, 9))
+
+    def _series(self):
+        rep = RngStream(self.SEED).child("rep", 0)
+        return generate_batch(self.MODEL, self.N, [rep])[0]
+
+    def _mark(self, monkeypatch, x, rates):
+        """Mark a resample not ok (values NaN) when its first value is in the
+        top rates[block] share of x; returns {block: rows per evaluation}."""
+        real_draw, real_values = bootstrap._draw, bootstrap.batch_prefix_values
+        block, calls = [None], {}
+
+        def draw(series, block_length, rows, gen):
+            block[0] = block_length
+            return real_draw(series, block_length, rows, gen)
+
+        def values(spec, resamples):
+            vals, first, ok = real_values(spec, resamples)
+            calls.setdefault(block[0], []).append(resamples.shape[0])
+            rate = rates.get(block[0])
+            if rate is not None:
+                bad = resamples[:, 0] > np.quantile(x, 1.0 - rate)
+                vals[bad] = np.nan
+                ok = ok & ~bad
+            return vals, first, ok
+
+        monkeypatch.setattr(bootstrap, "_draw", draw)
+        monkeypatch.setattr(bootstrap, "batch_prefix_values", values)
+        return calls
+
+    def _cfg(self, block):
+        boot_seed = stream_index_for(self.SEED, "boot", 0)
+        return MbbConfig(block, self.REPS, boot_seed, self.LEVEL)
+
+    def test_sweep_matches_single_series_schemes(self, monkeypatch):
+        x = self._series()
+        calls = self._mark(monkeypatch, x, {3: 0.5, 6: 0.55})
+        rows = run_block_sweep(self.MODEL, self.N, "mean", self.LEVEL, self.BLOCKS, self.REPS, 1, self.SEED)
+        sweep_calls = dict(calls)
+        redrawn = {b for b, c in sweep_calls.items() if len(c) > 1}
+        assert redrawn == {3, 6}
+        truth = float(true_value(self.MODEL, _MEAN))
+        by_key = {(r.method, r.block_length): r for r in rows}
+        for name, builder in _SCHEMES.items():
+            calls.clear()
+            for block in self.BLOCKS:
+                region = builder(x, _MEAN, self._cfg(block)).region
+                row = by_key[(name, block)]
+                assert row.mean_width == region.width
+                assert row.value_pct == 100.0 * region.contains(truth)
+            assert calls == sweep_calls
+
+    def test_dropped_resamples_leave_ragged_sets(self, monkeypatch):
+        x = self._series()
+        self._mark(monkeypatch, x, {3: 0.5, 6: 0.55})
+        seq = prefix_estimates(_MEAN, x)
+        est, w = float(seq.final[0]), wn_matrix(seq)[0, 0]
+        sets = [bootstrap_suite(x, _MEAN, self._cfg(b), est, w) for b in self.BLOCKS]
+        kept = {b: root.size for b, (root, _) in zip(self.BLOCKS, sets)}
+        assert {b for b in self.BLOCKS if kept[b] < self.REPS} == {3, 6}
+        bounds = suite_intervals(*zip(*sets), est, w, self.N, self.LEVEL)
+        for name, builder in _SCHEMES.items():
+            for j, block in enumerate(self.BLOCKS):
+                region = builder(x, _MEAN, self._cfg(block)).region
+                assert (bounds[name][0][j], bounds[name][1][j]) == (region.lower, region.upper)
+
+    def test_too_many_drops_in_one_block_length_raise_everywhere(self, monkeypatch):
+        x = self._series()
+        self._mark(monkeypatch, x, {4: 0.8})
+        with pytest.raises(TooManyDegenerateResamplesError):
+            run_block_sweep(self.MODEL, self.N, "mean", self.LEVEL, self.BLOCKS, self.REPS, 1, self.SEED)
+        for builder in _SCHEMES.values():
+            with pytest.raises(TooManyDegenerateResamplesError):
+                builder(x, _MEAN, self._cfg(4))
+            builder(x, _MEAN, self._cfg(5))

@@ -15,6 +15,7 @@ from selfnorm.estimators import (
     EstimatorSpec,
     PhiSpec,
     _fft_len,
+    batch_prefix_autocorr,
     batch_prefix_spectral,
     batch_prefix_values,
     fourier_coeffs,
@@ -337,6 +338,65 @@ def _two_pass_oracle(spec, x):
     if den is None:
         return num, np.array([gamma[t][0] for t in ts])
     return num / np.array(den), np.ones(len(num))
+
+
+def _acf_oracle(x, k, ts):
+    """Lag-k autocorrelation of each prefix t in ts: the prefix centred by
+    its own mean in two passes, then math.fsum of the lagged and squared
+    deviations."""
+    out = []
+    for t in ts:
+        d = x[:t] - math.fsum(x[:t]) / t
+        d = d - math.fsum(d) / t
+        out.append(math.fsum(d[: t - k] * d[k:]) / math.fsum(d * d))
+    return np.array(out)
+
+
+class TestAutocorrKernel:
+    """batch_prefix_autocorr against a two-pass oracle where the bootstrap
+    and the single-series paths use it, and its ok mask on degenerate rows."""
+
+    def test_bootstrap_shape(self):
+        from selfnorm.bootstrap import _draw
+        from selfnorm.dgp import generate_batch
+
+        series = generate_batch("ar1:0.5:normal", 50, [RngStream(3)])[0]
+        x = _draw(series, 4, 1000, np.random.default_rng(8))  # (1000, 50) block resamples
+        values, ok = batch_prefix_autocorr(x, 1)
+        assert ok.all()
+        for row in range(0, 1000, 40):
+            expect = _acf_oracle(x[row], 1, range(3, 51))
+            assert np.max(np.abs(values[row] - expect)) <= 1e-13
+
+    def test_long_series(self):
+        from selfnorm.dgp import generate_batch
+
+        x = generate_batch("ar1:0.5:normal", 5000, [RngStream(4)])
+        values, ok = batch_prefix_autocorr(x, 1)
+        assert ok.all()
+        ts = np.r_[3:60, 60:5000:97, 5000]
+        assert np.max(np.abs(values[0, ts - 3] - _acf_oracle(x[0], 1, ts))) <= 1e-13
+
+    def test_constant_and_near_constant_rows(self):
+        z = np.random.default_rng(9).standard_normal(50)
+        rows = np.array([
+            np.full(50, 7.0),
+            np.zeros(50),
+            1.0 + 1e-9 * z,
+            1e6 + 1e-3 * z,
+            3.0 + 1e-12 * z,
+            np.r_[np.full(10, 2.0), z[10:]],  # its first prefixes are constant
+            np.r_[z[:40], np.full(10, 0.5)],
+            np.where(z > 0, 1.0, -1.0),
+            np.r_[np.full(49, 1.0), 2.0],
+            1e-300 * z,  # its variance underflows
+        ])
+        values, ok = batch_prefix_autocorr(rows, 1)
+        expect_ok = [False, False, True, True, True, False, True, True, False, False]
+        assert ok.tolist() == expect_ok
+        assert np.isnan(values[~ok]).all()
+        for row in np.flatnonzero(ok):
+            assert np.max(np.abs(values[row] - _acf_oracle(rows[row], 1, range(3, 51)))) <= 1e-13
 
 
 class TestLevelOffsetAndScale:

@@ -3,9 +3,12 @@
 import concurrent.futures
 import ctypes
 import io
+import json
 import math
 import platform
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selfnorm import montecarlo
@@ -100,6 +103,27 @@ class TestWorkerInvariance:
         parallel = run_block_sweep(**kwargs, workers=2)
         assert len(serial) == 7  # the sn row, then 3 schemes x 2 blocks
         assert [_row_key(r) for r in serial] == [_row_key(r) for r in parallel]
+
+
+class TestPinnedSweep:
+    """Seeded block-sweep rows (ar1:0.5:normal, n = 50, blocks 1..15, 1000
+    resamples, 3 replications, seed 7) recorded from the index-array gather
+    and per-block scheme statistics.  mean, median and specratio are
+    unchanged bit for bit; the acf kernel forms its ratio without the shared
+    divisor t, so acf:1 widths may move in the last digits."""
+
+    PINS = json.loads((Path(__file__).parent / "data" / "block_sweep_pins.json").read_text())
+
+    @pytest.mark.parametrize("target", ["mean", "median", "specratio:pi/2", "acf:1"])
+    def test_rows_match_the_recorded_values(self, target):
+        rows = run_block_sweep("ar1:0.5:normal", 50, target, 0.95, tuple(range(1, 16)), 1000, 3, 7)
+        got = [[r.method, r.block_length, r.value_pct, r.mean_width] for r in rows]
+        expect = self.PINS["sweep"][target]
+        if target != "acf:1":
+            assert got == expect
+            return
+        assert [g[:3] for g in got] == [e[:3] for e in expect]
+        np.testing.assert_allclose([g[3] for g in got], [e[3] for e in expect], rtol=1e-12, atol=0.0)
 
 
 class TestChunkEngine:
