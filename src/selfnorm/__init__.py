@@ -28,15 +28,15 @@ _EXPORTS = {
         "write_series",
     ),
     "estimators": (
-        "EstimatorSpec", "PhiSpec", "fourier_coeffs", "prefix_autocorr",
-        "prefix_autocov", "prefix_estimates", "prefix_lad_ar", "prefix_mean",
-        "prefix_median", "prefix_spectral_mean", "prefix_spectral_ratio",
+        "EstimatorSpec", "fourier_coeffs", "prefix_autocorr", "prefix_autocov",
+        "prefix_estimates", "prefix_lad_ar", "prefix_mean", "prefix_median",
+        "prefix_spectral_mean", "prefix_spectral_ratio",
     ),
     "inference": (
         "Ellipsoid", "Interval", "SelfNormResult", "sn_interval", "sn_pivot",
         "sn_region", "wn_batch", "wn_matrix",
     ),
-    "critvals": ("CritvalTable", "get_quantile", "load_table", "simulate_uq"),
+    "critvals": ("CritvalTable", "get_quantile", "load_table", "simulate_draws", "simulate_uq"),
     "noncorr": (
         "EfficientCiResult", "NoncorrResult", "efficient_ci",
         "efficient_variance_batch", "lobato_stat", "lobato_test", "qtilde_stat",

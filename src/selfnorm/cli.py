@@ -21,6 +21,7 @@ from .core import (
     NumericalError,
     RngStream,
     TimeSeries,
+    TooShortError,
     ValidationError,
     read_series,
     write_series,
@@ -122,9 +123,16 @@ def _cmd_ci(args) -> int:
         for flag, name in ((args.block, "--block"), (args.seed, "--seed")):
             if flag is not None:
                 raise ValidationError(f"{name} only applies to the mbb methods")
+        # tables are keyed by the rounded alpha
+        alpha = round(1.0 - level, 6)
+        if alpha == 1.0:
+            raise ValidationError(f"level {level:g} rounds to 0 at six decimals")
         ts = _read_input(args.data)
+        # W needs two prefix estimates: check the series before the lookup
+        if ts.n <= spec.first_valid():
+            raise TooShortError(ts.n, spec.first_valid() + 1)
         seq = prefix_estimates(spec, ts)
-        crit = get_quantile(spec.dim, round(1.0 - level, 6))
+        crit = get_quantile(spec.dim, alpha)
         build = sn_interval if spec.dim == 1 else sn_region
         result = build(seq, crit, level, estimator=spec.canonical())
         _echo(

@@ -17,6 +17,7 @@ import functools
 import importlib.resources
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
@@ -56,14 +57,14 @@ def default_cache_path() -> Path:
 @dataclass(frozen=True)
 class CritvalTable:
     """Simulated upper quantiles of U_q for one (q, grid, reps, seed); source
-    is the file load_table read the table from or stored it in."""
+    is the file load_table read the table from or stored it in, None when a
+    simulated table could not be stored."""
 
     q: int
     grid: int
     reps: int
     seed: int
     quantiles: dict[float, float]
-    sample: Optional[np.ndarray] = field(default=None, compare=False)
     source: Optional[str] = field(default=None, compare=False)
 
     def quantile(self, alpha: float) -> float:
@@ -116,15 +117,8 @@ def check_table_args(q: int, grid: int, reps: Optional[int]) -> int:
     return reps
 
 
-def simulate_uq(
-    q: int,
-    grid: int = DEFAULT_GRID,
-    reps: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    alphas: Iterable[float] = DEFAULT_ALPHAS,
-    keep_sample: bool = False,
-) -> CritvalTable:
-    """Simulate U_q and return its upper quantiles at the requested alphas.
+def simulate_draws(q: int, grid: int, reps: Optional[int], seed: int) -> np.ndarray:
+    """reps draws of U_q (reps None: default_reps(q)), in chunk order.
 
     Deterministic per (q, grid, reps, seed): replications are drawn in fixed
     chunks, each from its own counter-derived stream, so the result does not
@@ -133,10 +127,6 @@ def simulate_uq(
     redrawn; more than 0.1% of them failing aborts.
     """
     reps = check_table_args(q, grid, reps)
-    alphas = tuple(sorted(set(float(a) for a in alphas)))
-    for a in alphas:
-        _alpha_key(a)
-
     base = RngStream(seed)
     out = np.empty(reps)
     resampled = 0
@@ -164,18 +154,25 @@ def simulate_uq(
         out[pos : pos + rows] = u
         pos += rows
         chunk_index += 1
+    return out
 
+
+def simulate_uq(
+    q: int,
+    grid: int = DEFAULT_GRID,
+    reps: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
+    alphas: Iterable[float] = DEFAULT_ALPHAS,
+) -> CritvalTable:
+    """The upper quantiles of simulate_draws at the requested alphas."""
+    alphas = tuple(sorted(set(float(a) for a in alphas)))
+    for a in alphas:
+        _alpha_key(a)
+    out = simulate_draws(q, grid, reps, seed)
     quantiles = {
         a: float(np.quantile(out, 1.0 - a, method="linear")) for a in alphas
     }
-    return CritvalTable(
-        q=q,
-        grid=grid,
-        reps=reps,
-        seed=seed,
-        quantiles=quantiles,
-        sample=out if keep_sample else None,
-    )
+    return CritvalTable(q=q, grid=grid, reps=out.size, seed=seed, quantiles=quantiles)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,8 @@ def load_table(
     cache_path: Optional[Path] = None,
 ) -> CritvalTable:
     """Fetch a quantile table: the user cache first, then the tables shipped
-    with the package, then simulation, whose result goes to the user cache.
+    with the package, then simulation, whose result goes to the user cache;
+    a cache that cannot be written gets a note on stderr instead.
 
     A table missing some requested alpha is regenerated with the union of
     alphas; the shared seed keeps previously stored quantiles bit-identical.
@@ -284,18 +282,16 @@ def load_table(
             return CritvalTable(q, grid, reps, seed, quantiles, source=source)
         want = tuple(sorted(set(want) | {float(k) for k in have}))
     table = simulate_uq(q, grid, reps, seed, alphas=want)
-    _add_table(path, key, json.loads(table_to_json(table)))
+    try:
+        _add_table(path, key, json.loads(table_to_json(table)))
+    except OSError as exc:  # the answer stands; only the cache misses it
+        print(f"selfnorm: critical values not cached: {exc}", file=sys.stderr)
+        return table
     return replace(table, source=str(path))
 
 
-def get_quantile(
-    q: int,
-    alpha: float,
-    grid: int = DEFAULT_GRID,
-    reps: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    cache_path: Optional[Path] = None,
-) -> float:
-    """Upper alpha quantile of U_q from the cache (simulating if needed)."""
+def get_quantile(q: int, alpha: float) -> float:
+    """Upper alpha quantile of U_q from the default table (grid, reps, seed),
+    simulated if neither cache has it."""
     alphas = set(DEFAULT_ALPHAS) | {float(alpha)}
-    return load_table(q, grid, reps, seed, alphas, cache_path).quantile(alpha)
+    return load_table(q, alphas=alphas).quantile(alpha)

@@ -312,7 +312,7 @@ def true_value(model: ModelSpec | str, target: EstimatorSpec | str):
         return float(g[est.lag])
     if est.kind == "acf":
         return float(g[est.lag] / g[0])
-    coef = fourier_coeffs(est.phi(), kmax + 1)
+    coef = fourier_coeffs(est.x, kmax + 1)
     total = float(g @ coef)
     if est.kind == "specmean":
         return total

@@ -37,40 +37,22 @@ _DEGENERATE_RTOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# Spectral weight functions
+# Spectral weight function: the indicator of [0, x]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Weight function on [0, pi] for spectral averages.
+def fourier_coeffs(x: float, count: int) -> np.ndarray:
+    """Cosine-series weights g_0..g_{count-1} of the indicator of [0, x].
 
-    The only kind is "indicator": the spectral density integrated over
-    [0, x], written PhiSpec("indicator", x=...).
-    """
-
-    kind: str
-    x: float = 0.0
-
-    def __post_init__(self):
-        if self.kind != "indicator":
-            raise ValidationError(f"unknown weight function kind {self.kind!r}")
-        if not 0.0 <= self.x <= math.pi:
-            raise ValidationError(f"indicator cutoff {self.x} outside [0, pi]")
-
-
-def fourier_coeffs(phi: PhiSpec, count: int) -> np.ndarray:
-    """Cosine-series weights g_0..g_{count-1}.
-
-    The spectral average of a density f equals sum_k gamma(k) g_k where
-    g_0 is the 0th Fourier coefficient of the weight over [0, pi] and
+    The spectral average of a density f over [0, x] equals sum_k gamma(k) g_k
+    where g_0 is the 0th Fourier coefficient of the weight over [0, pi] and
     g_k folds the +-k coefficients together.
     """
     if count < 1:
         raise ValidationError("need at least one coefficient")
     g = np.zeros(count)
-    g[0] = phi.x / (2.0 * math.pi)
+    g[0] = x / (2.0 * math.pi)
     k = np.arange(1, count)
-    g[1:] = np.sin(k * phi.x) / (math.pi * k)
+    g[1:] = np.sin(k * x) / (math.pi * k)
     return g
 
 
@@ -176,11 +158,6 @@ class EstimatorSpec:
         if self.kind in ("specmean", "specratio"):
             return SPECTRAL_FIRST_VALID
         return self.order + LAD_EXTRA_PREFIX
-
-    def phi(self) -> PhiSpec:
-        if self.kind not in ("specmean", "specratio"):
-            raise ValidationError(f"{self.kind} has no weight function")
-        return PhiSpec("indicator", x=self.x)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +317,10 @@ def _fft_len(m: int) -> int:
 
 
 def batch_prefix_spectral(
-    x: np.ndarray, phi: PhiSpec, ratio: bool
+    x: np.ndarray, cutoff: float, ratio: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix spectral averages S_t = sum_{k<t} g_k gamma_t(k) for t = 4..n.
+    """Prefix spectral averages S_t = sum_{k<t} g_k gamma_t(k) for t = 4..n,
+    g the fourier_coeffs of the indicator of [0, cutoff].
 
     Summing the lag-k formula of _lag_sums against g gives, on the same
     centred rows and prefix sums P (P_0 = 0, m_t = P_t / t),
@@ -361,7 +339,7 @@ def batch_prefix_spectral(
         raise TooShortError(n, SPECTRAL_FIRST_VALID)
     xc, p = _centered_prefix_sums(x)
     pt, t = p[:, 1:], np.arange(1, n + 1)
-    g = fourier_coeffs(phi, n)
+    g = fourier_coeffs(cutoff, n)
     size = _fft_len(2 * n - 1)  # long enough not to wrap
     g_hat = np.fft.rfft(g, size)
     c, d = (np.fft.irfft(np.fft.rfft(a, size, axis=1) * g_hat, size, axis=1)[:, :n]
@@ -397,7 +375,7 @@ def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray,
     elif spec.kind == "acf":
         vals, ok = batch_prefix_autocorr(x, spec.lag)
     else:
-        vals, ok = batch_prefix_spectral(x, spec.phi(), spec.kind == "specratio")
+        vals, ok = batch_prefix_spectral(x, spec.x, spec.kind == "specratio")
     return vals[:, :, None], spec.first_valid(), ok
 
 
@@ -427,14 +405,15 @@ def prefix_autocorr(ts: SeriesLike, k: int) -> EstimateSequence:
     return prefix_estimates(EstimatorSpec("acf", lag=k), ts)
 
 
-def prefix_spectral_mean(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
-    """Running spectral averages of the prefix periodogram, prefixes 4..n."""
-    return prefix_estimates(EstimatorSpec("specmean", x=phi.x), ts)
+def prefix_spectral_mean(ts: SeriesLike, x: float) -> EstimateSequence:
+    """Running spectral averages over [0, x] of the prefix periodogram,
+    prefixes 4..n."""
+    return prefix_estimates(EstimatorSpec("specmean", x=x), ts)
 
 
-def prefix_spectral_ratio(ts: SeriesLike, phi: PhiSpec) -> EstimateSequence:
-    """Running normalized spectral averages (relative to total mass)."""
-    return prefix_estimates(EstimatorSpec("specratio", x=phi.x), ts)
+def prefix_spectral_ratio(ts: SeriesLike, x: float) -> EstimateSequence:
+    """Running spectral averages over [0, x] relative to the total mass."""
+    return prefix_estimates(EstimatorSpec("specratio", x=x), ts)
 
 
 # ---------------------------------------------------------------------------

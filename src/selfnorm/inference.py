@@ -111,7 +111,6 @@ class SelfNormResult:
     n_eff: int
     level: float
     critval: float
-    w_matrix: np.ndarray
     region: Union[Interval, Ellipsoid]
 
     def to_json(self) -> str:
@@ -166,7 +165,6 @@ def sn_interval(
         n_eff=seq.n_eff,
         level=level,
         critval=critval,
-        w_matrix=np.array([[w]]),
         region=Interval(est - half, est + half),
     )
 
@@ -178,17 +176,14 @@ def sn_region(
     estimator: str = "",
 ) -> SelfNormResult:
     """Ellipsoidal confidence region for vector targets (q >= 1)."""
-    w = wn_matrix(seq)
-    n = seq.n_eff
-    shape = w / n
+    shape = wn_matrix(seq) / seq.n_eff
     # reject degenerate normalizers up front, matching the pivot's solve
     solve_spd(shape, np.zeros(seq.dim))
     return SelfNormResult(
         estimator=estimator,
         estimate=seq.final.copy(),
-        n_eff=n,
+        n_eff=seq.n_eff,
         level=level,
         critval=critval,
-        w_matrix=w,
         region=Ellipsoid(seq.final.copy(), shape, critval),
     )

@@ -207,13 +207,7 @@ def _coverage_chunk(
         center, w, _ = _sn_parts(spec, x, n)
         out["center"], out["w"] = center[:, 0], w[:, 0, 0]
     if "eff" in methods:
-        if spec.kind == "acov" and spec.lag == 1:
-            eff_target = "gamma1"
-        elif spec.kind == "acf" and spec.lag == 1:
-            eff_target = "rho1"
-        else:
-            raise ValidationError(f"no efficient interval for target {target!r}")
-        center, var, _, ok = efficient_variance_batch(x, eff_target)
+        center, var, _, ok = efficient_variance_batch(x, spec)
         if not np.all(ok):
             raise NumericalError(f"{int(np.sum(~ok))} degenerate efficient variances")
         out["eff_center"] = center
@@ -465,7 +459,6 @@ def _sweep_job(name, target, full_reps):
         name=name,
         kind="sweep",
         full_reps=full_reps,
-        models=_SWEEP_MODELS,
         sizes=(50,),
         pairs=tuple((m, target) for m in _SWEEP_MODELS),
         levels=(0.95,),

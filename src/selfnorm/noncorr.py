@@ -11,7 +11,7 @@ Three tests share one null (the first K autocorrelations vanish):
   chi-square.  Comparator-grade by design.
 
 The module also provides the efficiently studentized normal-approximation
-intervals for gamma(1) and rho(1) used as coverage comparators.
+intervals for acov:1 and acf:1 used as coverage comparators.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .core import (
     quadform_spd,
     solve_residual_batch,
 )
-from .estimators import _lag_sums
+from .estimators import EstimatorSpec, _lag_sums
 from .inference import Interval, _gram_quadform, wn_batch
 
 
@@ -279,7 +279,7 @@ def qtilde_test(ts: SeriesLike, k: int, alpha: float) -> NoncorrResult:
 
 
 # ---------------------------------------------------------------------------
-# Efficiently studentized intervals for gamma(1) and rho(1)
+# Efficiently studentized intervals for acov:1 and acf:1
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -291,28 +291,25 @@ class EfficientCiResult:
     level: float
     interval: Interval
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "estimate": self.estimate,
-            "variance": self.variance,
-            "bandwidth": self.bandwidth,
-            "level": self.level,
-            "lower": self.interval.lower,
-            "upper": self.interval.upper,
-        }
+
+def _efficient_target(target: EstimatorSpec | str) -> str:
+    """The canonical string of target; only acov:1 and acf:1 have an
+    efficient interval."""
+    name = target.canonical() if isinstance(target, EstimatorSpec) else target
+    if name not in ("acov:1", "acf:1"):
+        raise ValidationError(f"no efficient interval for target {name!r}")
+    return name
 
 
-def efficient_variance_batch(x: np.ndarray, target: str) -> tuple[np.ndarray, ...]:
-    """Batched estimate of gamma(1) or rho(1) and its variance; x is (B, n).
+def efficient_variance_batch(x: np.ndarray, target: EstimatorSpec | str) -> tuple[np.ndarray, ...]:
+    """Batched estimate of acov:1 or acf:1 and its variance; x is (B, n).
     The variance comes from the Bartlett covariance of the lag-0 and lag-1
     products, with the prewhitened bandwidth of _kernel_lrv but the window on
     the raw products.  Returns (estimate, variance, bandwidth, ok); a row is
     not ok when either variance is not positive."""
-    if target not in ("gamma1", "rho1"):
-        raise ValidationError(f"target must be gamma1 or rho1, got {target!r}")
+    name = _efficient_target(target)
     gamma, rho, omega, v, bw = _delta_parts(x, 1, recolor=False)
-    if target == "gamma1":
+    if name == "acov:1":
         est, var = gamma[:, 1], v[:, 1, 1]
     else:
         est, var = rho[:, 0], omega[:, 0, 0]
@@ -320,15 +317,18 @@ def efficient_variance_batch(x: np.ndarray, target: str) -> tuple[np.ndarray, ..
         return est, var, bw, (gamma[:, 0] > 0.0) & (var > 0.0)
 
 
-def efficient_ci(ts: SeriesLike, target: str, level: float = 0.95) -> EfficientCiResult:
-    """Normal-approximation interval for gamma(1) or rho(1) studentized by a
+def efficient_ci(
+    ts: SeriesLike, target: EstimatorSpec | str, level: float = 0.95
+) -> EfficientCiResult:
+    """Normal-approximation interval for acov:1 or acf:1 studentized by a
     kernel long-run variance: the comparator to the self-normalized interval."""
     if not 0.0 < level < 1.0:
         raise ValidationError("level must be in (0, 1)")
+    name = _efficient_target(target)
     s = as_series(ts)
-    est, var, bw, ok = (a[0] for a in efficient_variance_batch(s.values[None, :], target))
+    est, var, bw, ok = (a[0] for a in efficient_variance_batch(s.values[None, :], name))
     if not ok:
         raise DegenerateVarianceError("sample or long-run variance is not positive")
     half = normal_quantile(0.5 + level / 2.0) * math.sqrt(var / s.n)
     est, var = float(est), float(var)
-    return EfficientCiResult(target, est, var, int(bw), level, Interval(est - half, est + half))
+    return EfficientCiResult(name, est, var, int(bw), level, Interval(est - half, est + half))

@@ -173,6 +173,25 @@ class TestCi:
             "selfnorm: alpha must be in (0, 1), got 0.0"]
 
 
+    def test_level_rounding_to_zero_names_the_level(self, m1_series):
+        r = run_cli(["ci", "--stat", "mean", "--level", "1e-300"], stdin=m1_series)
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == [
+            "selfnorm: level 1e-300 rounds to 0 at six decimals"]
+
+    def test_series_checked_before_critical_value(self, tmp_path, monkeypatch, capsys):
+        # one prefix of ladar:590 cannot give W; the lookup would reject q = 590
+        def refuse(*args, **kwargs):
+            raise AssertionError("critical value looked up before the series was checked")
+
+        monkeypatch.setattr(cli, "get_quantile", refuse)
+        path = tmp_path / "x.txt"
+        path.write_text("".join(f"{v!r}\n" for v in np.sin(np.arange(600.0)).tolist()))
+        assert cli.main(["ci", "--stat", "ladar:590", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "selfnorm: series has 600 observations, need at least 601\n")
+
+
 class TestNoncorr:
     def test_contract(self, m1_series):
         r = run_cli(["test-noncorr", "--k", "2", "--method", "sn"],
@@ -262,6 +281,25 @@ class TestCritvals:
         assert r.returncode == 1
         assert r.stderr.splitlines() == [
             "selfnorm: alpha must be in (0, 1), got 0.0"]
+
+    _TOY = ["critvals", "--q", "1", "--alpha", "0.2", "--grid", "150", "--reps", "1000"]
+
+    def test_directory_as_cache_still_answers(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SELFNORM_CRITVAL_CACHE", str(tmp_path))
+        r = run_cli(self._TOY)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["quantile"] > 0
+        note = r.stderr.splitlines()[1:]
+        assert len(note) == 1 and note[0].startswith("selfnorm: critical values not cached:")
+
+    def test_refused_store_still_answers(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert cli.main([*self._TOY, "--cache", str(tmp_path / "cache.json")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cache"] is None and out["quantile"] > 0
 
     @pytest.mark.parametrize("args,message", [
         (["--q", "0"], "dimension q must be >= 1"),

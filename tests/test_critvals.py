@@ -21,6 +21,7 @@ from selfnorm.critvals import (
     default_reps,
     get_quantile,
     load_table,
+    simulate_draws,
     simulate_uq,
     table_to_json,
     u_stat_from_increments,
@@ -93,10 +94,12 @@ class TestSimulation:
         values = [table.quantile(a) for a in (0.01, 0.025, 0.05, 0.10)]
         assert values == sorted(values, reverse=True)
 
-    def test_sample_kept_on_request(self):
-        table = simulate_uq(1, grid=100, reps=2000, seed=1, keep_sample=True)
-        assert table.sample is not None and table.sample.shape == (2000,)
-        assert simulate_uq(1, grid=100, reps=2000, seed=1).sample is None
+    def test_table_holds_the_quantiles_of_the_draws(self):
+        draws = simulate_draws(1, 100, 2000, 1)
+        assert draws.shape == (2000,) and (draws > 0).all()
+        table = simulate_uq(1, grid=100, reps=2000, seed=1)
+        assert table.quantiles == {
+            a: float(np.quantile(draws, 1.0 - a)) for a in DEFAULT_ALPHAS}
 
     def test_default_reps_by_dimension(self):
         assert default_reps(1) == 200_000
@@ -112,18 +115,18 @@ class TestSimulation:
 
 class TestCache:
     def test_quantile_served_from_cache_file(self, critval_cache):
-        v1 = get_quantile(1, 0.05, grid=150, reps=3000, seed=9)
+        v1 = load_table(1, 150, 3000, 9).quantile(0.05)
         data = json.loads(critval_cache.read_text())
         assert any('"q": 1' in json.dumps(entry) or entry.get("q") == 1
                    for entry in data.values())
-        v2 = get_quantile(1, 0.05, grid=150, reps=3000, seed=9)
+        v2 = load_table(1, 150, 3000, 9).quantile(0.05)
         assert v1 == v2
 
     def test_corrupt_cache_file_is_rebuilt(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{bad")
-        v = get_quantile(1, 0.05, grid=150, reps=3000, seed=9, cache_path=path)
-        assert v == get_quantile(1, 0.05, grid=150, reps=3000, seed=9)
+        v = load_table(1, 150, 3000, 9, cache_path=path).quantile(0.05)
+        assert v == load_table(1, 150, 3000, 9).quantile(0.05)
         tables = json.loads(path.read_text())["tables"]
         assert list(tables) == ["q=1|grid=150|reps=3000|seed=9"]
 
@@ -148,7 +151,7 @@ class TestCache:
         assert critvals._load_cache(path) == {"version": 1, "tables": {}}
 
     def test_missing_alpha_triggers_resimulation(self):
-        v = get_quantile(1, 0.2, grid=150, reps=3000, seed=9)
+        v = load_table(1, 150, 3000, 9, alphas=[0.2]).quantile(0.2)
         assert v > 0
 
     def test_alpha_keys_round_to_six_places(self):
@@ -161,6 +164,31 @@ class TestCache:
         table = load_table(1, grid=150, reps=3000, seed=9)
         for alpha in DEFAULT_ALPHAS:
             assert table.quantile(alpha) > 0
+
+
+class TestUnwritableCache:
+    """A store that fails leaves one note on stderr; the simulated table is
+    still the answer, and its source is None."""
+
+    def _check(self, path, capsys):
+        table = load_table(1, grid=150, reps=3000, seed=9, alphas=[0.2], cache_path=path)
+        assert table.source is None
+        assert table.quantiles == simulate_uq(1, grid=150, reps=3000, seed=9,
+                                              alphas=[0.2]).quantiles
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("selfnorm: critical values not cached:")
+
+    def test_directory_as_cache_path(self, tmp_path, capsys):
+        self._check(tmp_path, capsys)
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+    def test_replace_refused(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        self._check(tmp_path / "cache.json", capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json.lock"]
 
 
 class TestPublishedValues:
@@ -276,10 +304,11 @@ class TestShippedTables:
 
         monkeypatch.setattr(critvals, "simulate_uq", fail)
         cache = tmp_path / "cache.json"
+        monkeypatch.setenv("SELFNORM_CRITVAL_CACHE", str(cache))
         tables = _shipped()
         for q in range(1, 7):
             expected = tables[_default_key(q)]["quantiles"]["0.050000"]
-            assert get_quantile(q, 0.05, cache_path=cache) == expected
+            assert get_quantile(q, 0.05) == expected
         assert not cache.exists()
 
     def test_user_cache_is_served_first(self, tmp_path):
@@ -289,7 +318,7 @@ class TestShippedTables:
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps({"version": 1, "tables": {_default_key(1): entry}}))
         shipped = _shipped()[_default_key(1)]["quantiles"]["0.050000"]
-        value = get_quantile(1, 0.05, cache_path=cache)
+        value = load_table(1, cache_path=cache).quantile(0.05)
         assert value == toy.quantile(0.05)
         assert value != shipped
 
@@ -304,7 +333,7 @@ class TestShippedTables:
         monkeypatch.setattr(critvals, "simulate_uq", counted)
         before = SHIPPED.read_bytes()
         cache = tmp_path / "cache.json"
-        value = get_quantile(1, 0.2, cache_path=cache)
+        value = load_table(1, alphas=[0.2], cache_path=cache).quantile(0.2)
         assert len(calls) == 1
         stored = json.loads(cache.read_text())["tables"][_default_key(1)]["quantiles"]
         shipped = _shipped()[_default_key(1)]["quantiles"]
@@ -312,7 +341,7 @@ class TestShippedTables:
         assert {k: stored[k] for k in shipped} == shipped
         assert stored["0.200000"] == value
         assert SHIPPED.read_bytes() == before
-        assert get_quantile(1, 0.2, cache_path=cache) == value
+        assert load_table(1, alphas=[0.2], cache_path=cache).quantile(0.2) == value
         assert len(calls) == 1
 
 

@@ -13,7 +13,6 @@ from selfnorm import estimators
 from selfnorm.core import DegenerateVarianceError, RngStream, SolverFailedError, ValidationError
 from selfnorm.estimators import (
     EstimatorSpec,
-    PhiSpec,
     _fft_len,
     batch_prefix_autocorr,
     batch_prefix_spectral,
@@ -154,12 +153,12 @@ class TestPrefixAutocorr:
 
 class TestFourierCoeffs:
     def test_full_band_indicator(self):
-        g = fourier_coeffs(PhiSpec("indicator", x=math.pi), 6)
+        g = fourier_coeffs(math.pi, 6)
         assert g[0] == pytest.approx(0.5)
         np.testing.assert_allclose(g[1:], 0.0, atol=1e-15)
 
     def test_half_band_indicator(self):
-        g = fourier_coeffs(PhiSpec("indicator", x=math.pi / 2), 4)
+        g = fourier_coeffs(math.pi / 2, 4)
         np.testing.assert_allclose(
             g, [0.25, 1 / math.pi, 0.0, -1 / (3 * math.pi)], atol=1e-15)
 
@@ -168,7 +167,7 @@ class TestSpectralMean:
     def test_full_band_equals_half_variance(self):
         for seed in range(5):
             x = RngStream(seed).generator().standard_normal(40)
-            sm = prefix_spectral_mean(x, PhiSpec("indicator", x=math.pi))
+            sm = prefix_spectral_mean(x, math.pi)
             acov0 = prefix_autocov(x, 0)
             lo = sm.first_valid - acov0.first_valid
             np.testing.assert_allclose(
@@ -177,9 +176,8 @@ class TestSpectralMean:
     def test_indicator_weight_matches_autocovariance_sum(self):
         # every prefix: sum_k g_k gamma_t(k), two-pass autocovariances of x[:t]
         x = _SERIES
-        phi = PhiSpec("indicator", x=1.0)
-        sm = prefix_spectral_mean(x, phi)
-        g = fourier_coeffs(phi, len(x))
+        sm = prefix_spectral_mean(x, 1.0)
+        g = fourier_coeffs(1.0, len(x))
         for row, t in enumerate(range(sm.first_valid, sm.n_eff + 1)):
             gamma = [_brute_autocov(x, t, k) for k in range(t)]
             assert sm.estimates[row, 0] == pytest.approx(g[:t] @ gamma, abs=1e-12)
@@ -196,17 +194,17 @@ class TestSpectralMean:
             return (gamma[0] + 2.0 * (gamma[1:] * np.cos(k * lam)).sum()) / (2 * math.pi)
 
         expect, _ = quad(density, 0.0, math.pi / 2, limit=400)
-        got = prefix_spectral_mean(x, PhiSpec("indicator", x=math.pi / 2)).final[0]
+        got = prefix_spectral_mean(x, math.pi / 2).final[0]
         assert got == pytest.approx(expect, abs=1e-8)
 
 
 class TestSpectralRatio:
     def test_full_band_is_one(self):
-        seq = prefix_spectral_ratio(_SERIES, PhiSpec("indicator", x=math.pi))
+        seq = prefix_spectral_ratio(_SERIES, math.pi)
         np.testing.assert_allclose(seq.estimates[:, 0], 1.0, atol=1e-12)
 
     def test_zero_cutoff_is_zero(self):
-        seq = prefix_spectral_ratio(_SERIES, PhiSpec("indicator", x=0.0))
+        seq = prefix_spectral_ratio(_SERIES, 0.0)
         np.testing.assert_allclose(seq.estimates[:, 0], 0.0, atol=1e-15)
 
     def test_low_frequency_mass_of_positive_ar(self):
@@ -214,14 +212,13 @@ class TestSpectralRatio:
         # so the series' own low-frequency share exceeds one half
         from selfnorm.dgp import generate
         x = generate("ar1:0.7:normal", 2000, RngStream(3))
-        ratio = prefix_spectral_ratio(x, PhiSpec("indicator", x=math.pi / 2))
+        ratio = prefix_spectral_ratio(x, math.pi / 2)
         assert ratio.final[0] > 0.5
 
     def test_ratio_equals_mean_quotient(self):
-        phi = PhiSpec("indicator", x=1.0)
-        ratio = prefix_spectral_ratio(_SERIES, phi).final[0]
-        num = prefix_spectral_mean(_SERIES, phi).final[0]
-        den = prefix_spectral_mean(_SERIES, PhiSpec("indicator", x=math.pi)).final[0]
+        ratio = prefix_spectral_ratio(_SERIES, 1.0).final[0]
+        num = prefix_spectral_mean(_SERIES, 1.0).final[0]
+        den = prefix_spectral_mean(_SERIES, math.pi).final[0]
         assert ratio == pytest.approx(num / den, rel=1e-12)
 
 
@@ -331,7 +328,7 @@ def _two_pass_oracle(spec, x):
         num = [gamma[t][spec.lag] for t in ts]
         den = [gamma[t][0] for t in ts] if spec.kind == "acf" else None
     else:
-        g = fourier_coeffs(spec.phi(), len(x))
+        g = fourier_coeffs(spec.x, len(x))
         num = [math.fsum(g[k] * gamma[t][k] for k in range(t)) for t in ts]
         den = [gamma[t][0] / 2.0 for t in ts] if spec.kind == "specratio" else None
     num = np.array(num)
@@ -467,14 +464,13 @@ class TestSpectralBruteForce:
         drift = (np.cumsum(x, axis=1) / t - x.mean(axis=1, keepdims=True))[:, 3:]
         scale = var + drift**2
         for cutoff in (0.0, math.pi / 4, math.pi / 2, math.pi):
-            phi = PhiSpec("indicator", x=cutoff)
-            expect = gammas @ fourier_coeffs(phi, n)
-            vals, ok = batch_prefix_spectral(x, phi, ratio=False)
+            expect = gammas @ fourier_coeffs(cutoff, n)
+            vals, ok = batch_prefix_spectral(x, cutoff, ratio=False)
             assert ok.all()
             assert np.all(np.abs(vals - expect) <= 1e-12 * scale)
             den = var / 2.0
             expect_ok = (den > 1e-14 * den[:, -1:]).all(axis=1) & (den[:, -1] > 0)
-            vals, ok = batch_prefix_spectral(x, phi, ratio=True)
+            vals, ok = batch_prefix_spectral(x, cutoff, ratio=True)
             np.testing.assert_array_equal(ok, expect_ok)
             assert np.all(np.isnan(vals[~ok]))
             err = np.abs(vals[ok] - expect[ok] / den[ok])
@@ -555,10 +551,9 @@ class TestEquivariance:
         np.testing.assert_allclose(
             prefix_autocorr(y, 1).estimates[:, 0],
             prefix_autocorr(x, 1).estimates[:, 0], rtol=1e-7, atol=1e-10)
-        phi = PhiSpec("indicator", x=math.pi / 2)
         np.testing.assert_allclose(
-            prefix_spectral_ratio(y, phi).estimates[:, 0],
-            prefix_spectral_ratio(x, phi).estimates[:, 0], rtol=1e-7, atol=1e-10)
+            prefix_spectral_ratio(y, math.pi / 2).estimates[:, 0],
+            prefix_spectral_ratio(x, math.pi / 2).estimates[:, 0], rtol=1e-7, atol=1e-10)
 
     @given(_series_and_affine())
     @settings(max_examples=10, deadline=None)

@@ -20,6 +20,7 @@ from selfnorm.core import (
 )
 from selfnorm import core, noncorr
 from selfnorm.dgp import generate_batch
+from selfnorm.estimators import EstimatorSpec
 from selfnorm.noncorr import (
     _ar1_coefficients,
     _full_autocov,
@@ -231,10 +232,12 @@ class TestEfficientCi:
         xc = x - x.mean()
         g0 = float(xc @ xc) / n
         g1 = float(xc[1:] @ xc[:-1]) / n
-        res_g = efficient_ci(x, "gamma1")
-        res_r = efficient_ci(x, "rho1")
+        res_g = efficient_ci(x, "acov:1")
+        res_r = efficient_ci(x, "acf:1")
         assert res_g.estimate == pytest.approx(g1, rel=1e-12)
         assert res_r.estimate == pytest.approx(g1 / g0, rel=1e-12)
+        assert (res_g.target, res_r.target) == ("acov:1", "acf:1")
+        assert efficient_ci(x, EstimatorSpec.parse("acf:1")) == res_r
         for res in (res_g, res_r):
             assert res.interval.lower < res.estimate < res.interval.upper
             assert res.variance > 0
@@ -243,16 +246,16 @@ class TestEfficientCi:
     def test_gamma_interval_scales_quadratically(self):
         x = RngStream(22).generator().standard_normal(250)
         a = 3.0
-        base = efficient_ci(x, "gamma1")
-        moved = efficient_ci(a * x, "gamma1")
+        base = efficient_ci(x, "acov:1")
+        moved = efficient_ci(a * x, "acov:1")
         assert moved.estimate == pytest.approx(a * a * base.estimate, rel=1e-10)
         assert (moved.interval.upper - moved.interval.lower) == pytest.approx(
             a * a * (base.interval.upper - base.interval.lower), rel=1e-8)
 
     def test_rho_interval_affine_invariant(self):
         x = RngStream(23).generator().standard_normal(250)
-        base = efficient_ci(x, "rho1")
-        moved = efficient_ci(2.5 * x - 4.0, "rho1")
+        base = efficient_ci(x, "acf:1")
+        moved = efficient_ci(2.5 * x - 4.0, "acf:1")
         assert moved.estimate == pytest.approx(base.estimate, rel=1e-9)
         assert moved.variance == pytest.approx(base.variance, rel=1e-7)
 
@@ -266,10 +269,13 @@ class TestEfficientCi:
 
     def test_validation(self):
         x = RngStream(25).generator().standard_normal(100)
+        for target in ("acov:2", "acf:0", "gamma1", "rho1", EstimatorSpec.parse("mean")):
+            with pytest.raises(ValidationError, match="no efficient interval for target"):
+                efficient_ci(x, target)
+        with pytest.raises(ValidationError, match="no efficient interval"):
+            efficient_variance_batch(x[None, :], "specmean:pi/2")
         with pytest.raises(ValidationError):
-            efficient_ci(x, "gamma2")
-        with pytest.raises(ValidationError):
-            efficient_ci(x, "rho1", level=1.0)
+            efficient_ci(x, "acf:1", level=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +411,7 @@ class TestBatchKernelsAgainstOracle:
     def test_efficient_arma(self, model, n):
         x = _draws(model, n, 30)
         _assert_kernel_matches(x, 1, False, _oracle_efficient_variance_parts)
-        for target in ("gamma1", "rho1"):
+        for target in ("acov:1", "acf:1"):
             est, var, bw, ok = efficient_variance_batch(x, target)
             assert ok.all()
             for r, row in enumerate(x):
@@ -413,7 +419,7 @@ class TestBatchKernelsAgainstOracle:
                 xc = row - row.mean()
                 g0 = float(xc @ xc) / n
                 g1 = float(xc[1:] @ xc[:-1]) / n
-                if target == "gamma1":
+                if target == "acov:1":
                     e_ref, var_ref = g1, v[1, 1]
                 else:
                     e_ref = g1 / g0
@@ -443,9 +449,9 @@ class TestBatchKernelsAgainstOracle:
         np.testing.assert_array_equal(np.delete(stats, 4), stats_kept)
         ref = np.array([_oracle_qtilde_stat(row, 1) for row in kept])
         np.testing.assert_allclose(stats_kept, ref, rtol=1e-12, atol=0)
-        _, var, _, ok = efficient_variance_batch(x, "rho1")
+        _, var, _, ok = efficient_variance_batch(x, "acf:1")
         assert ok.tolist() == [True] * 4 + [False] + [True] * 3
-        _, var_kept, _, _ = efficient_variance_batch(kept, "rho1")
+        _, var_kept, _, _ = efficient_variance_batch(kept, "acf:1")
         np.testing.assert_array_equal(np.delete(var, 4), var_kept)
 
 
@@ -459,10 +465,10 @@ class TestBatchOfOneErrors:
         with pytest.raises(DegenerateVarianceError):
             qtilde_stat(x, 2)
         with pytest.raises(DegenerateVarianceError):
-            efficient_ci(x, "rho1")
+            efficient_ci(x, "acf:1")
         # positive sample variance, zero long-run variance
         with pytest.raises(DegenerateVarianceError):
-            efficient_ci(_alternating(), "gamma1")
+            efficient_ci(_alternating(), "acov:1")
 
     def test_not_positive_definite(self):
         # the lag products of a period-2 series are constant: V = 0
@@ -495,6 +501,6 @@ class TestBatchOfOneErrors:
         with pytest.raises(TooShortError):
             qtilde_stat_batch(np.ones((3, 22)), 2)
         with pytest.raises(TooShortError):
-            efficient_ci(_draws("iidn", 21, 1)[0], "gamma1")
+            efficient_ci(_draws("iidn", 21, 1)[0], "acov:1")
         with pytest.raises(TooShortError):
-            efficient_variance_batch(np.ones((3, 21)), "rho1")
+            efficient_variance_batch(np.ones((3, 21)), "acf:1")
