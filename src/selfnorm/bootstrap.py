@@ -32,7 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     BlockTooLongError,
-    DegenerateVarianceError,
     RngStream,
     SeriesLike,
     TooManyDegenerateResamplesError,
@@ -284,17 +283,15 @@ def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
 # Shared-resample suite (one draw set feeding all three schemes)
 # ---------------------------------------------------------------------------
 
-def bootstrap_suite(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est: float, w: float) -> tuple:
+def bootstrap_suite(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est: float) -> tuple:
     """(root sqrt(N)(est* - est), pivots) of one resample set, which all three
     schemes reduce (see suite_intervals).
 
-    est and w are the estimate and the self-normalizer W of the original
-    series (scalar estimators only).  Used by the Monte Carlo sweeps, where
-    drawing three independent resample sets per block length would triple
-    the cost without changing any contract.
+    est is the estimate of the original series (scalar estimators only).
+    Used by the Monte Carlo sweeps, where drawing three independent resample
+    sets per block length would triple the cost without changing any
+    contract.
     """
-    if not w > 0.0:
-        raise DegenerateVarianceError("self-normalizer of the original series is zero")
     n = x.shape[0]
     vals, dropped = _resample(x, spec, cfg)
     return math.sqrt(n) * (vals[:, -1, 0] - est), _pivots(vals, est, n, spec, cfg, dropped)

@@ -125,8 +125,8 @@ def _cmd_ci(args) -> int:
                 raise ValidationError(f"{name} only applies to the mbb methods")
         # tables are keyed by the rounded alpha
         alpha = round(1.0 - level, 6)
-        if alpha == 1.0:
-            raise ValidationError(f"level {level:g} rounds to 0 at six decimals")
+        if alpha in (0.0, 1.0):
+            raise ValidationError(f"level {level!r} rounds to {1.0 - alpha:g} at six decimals")
         ts = _read_input(args.data)
         # W needs two prefix estimates: check the series before the lookup
         if ts.n <= spec.first_valid():

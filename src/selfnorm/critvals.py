@@ -13,6 +13,7 @@ cache and regenerating reproduces identical bytes for the same
 
 from __future__ import annotations
 
+import errno
 import functools
 import importlib.resources
 import json
@@ -240,6 +241,8 @@ def _add_table(path: Path, key: str, entry: dict) -> None:
     """Store one table, keeping every table another process stored since
     this one last read the cache: re-read and merge under an exclusive lock
     on the sidecar ``<path>.lock``."""
+    if path.is_dir():  # its sidecar would land in the parent directory
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path.with_name(path.name + ".lock"), "a") as lock:
         if fcntl is not None:

@@ -1,6 +1,12 @@
 """Monte Carlo experiments: test size and size-adjusted power, interval
 coverage, and block-bootstrap sweeps.
 
+A named study is an ordered list of cells, each one call of a runner
+(run_size, run_power, run_coverage or run_block_sweep) whose rows are
+appended in order.  A replication's self-normalized region covers the truth
+exactly when its pivot at the truth is at most the U_q quantile, for every
+estimator dimension q.
+
 Replications are counter-seeded (one child stream per replication index), so
 results are bit-identical no matter how the work is chunked or how many
 worker processes run the chunks.  Each experiment writes rows with a fixed
@@ -13,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import IO, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -182,7 +188,7 @@ def _test_stats_chunk(model: str, n: int, ks: tuple, seed: int, lo: int, hi: int
     return out
 
 
-def _sn_parts(spec: EstimatorSpec, x: np.ndarray, n: int, theta0=0.0) -> tuple[np.ndarray, ...]:
+def _sn_parts(spec: EstimatorSpec, x: np.ndarray, n: int, theta0) -> tuple[np.ndarray, ...]:
     """Full-sample estimates (B, dim), self-normalizers W (B, dim, dim) and
     pivots at theta0 (B,) of the rows of x."""
     vals, fv, ok = batch_prefix_values(spec, x)
@@ -199,18 +205,15 @@ def _coverage_chunk(
 ) -> dict:
     spec = EstimatorSpec.parse(target)
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
+    truth = np.asarray(true_value(model, spec))
     out = {}
-    if spec.kind == "ladar":
-        out["pivot"] = _sn_parts(spec, x, n, np.asarray(true_value(model, spec)))[2]
-        return out
     if "sn" in methods:
-        center, w, _ = _sn_parts(spec, x, n)
-        out["center"], out["w"] = center[:, 0], w[:, 0, 0]
+        _, out["w"], out["pivot"] = _sn_parts(spec, x, n, truth)
     if "eff" in methods:
         center, var, _, ok = efficient_variance_batch(x, spec)
         if not np.all(ok):
             raise NumericalError(f"{int(np.sum(~ok))} degenerate efficient variances")
-        out["eff_center"] = center
+        out["eff_miss"] = np.abs(center - truth)
         out["eff_scale"] = np.sqrt(var / n)
     return out
 
@@ -231,12 +234,12 @@ def _sweep_chunk(
     hi: int,
 ) -> dict:
     spec = EstimatorSpec.parse(target)
-    truth = float(true_value(model, spec))
+    truth = true_value(model, spec)
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
-    center, w, _ = _sn_parts(spec, x, n)
+    center, w, pivot = _sn_parts(spec, x, n, truth)
     center, w = center[:, 0], w[:, 0, 0]
     half = np.sqrt(sn_critval * w / n)
-    out = {("sn", "cover"): np.abs(center - truth) <= half, ("sn", "width"): 2.0 * half}
+    out = {("sn", "cover"): pivot <= sn_critval, ("sn", "width"): 2.0 * half}
     shape = (x.shape[0], len(block_lengths))
     for name in _BOOT_SCHEMES:
         out[(name, "cover")] = np.empty(shape, dtype=bool)
@@ -244,7 +247,7 @@ def _sweep_chunk(
     for r, row in enumerate(x):
         boot_seed = stream_index_for(seed, "boot", lo + r)
         sets = [
-            bootstrap_suite(row, spec, MbbConfig(block, boot_reps, boot_seed, level), center[r], w[r])
+            bootstrap_suite(row, spec, MbbConfig(block, boot_reps, boot_seed, level), center[r])
             for block in block_lengths
         ]
         bounds = suite_intervals(*zip(*sets), center[r], w[r], n, level)
@@ -354,6 +357,8 @@ def run_coverage(
     """Empirical coverage of the self-normalized region and, for the lag-1
     autocovariance and autocorrelation, of the studentized normal interval.
 
+    A replication's region covers the truth when its pivot there is at most
+    the U_q quantile.  The LAD autoregression rows carry no mean width.
     Degenerate replications raise instead of being skipped, so a completed
     run certifies that every replication produced a usable region.
     """
@@ -362,27 +367,20 @@ def run_coverage(
         partial(_coverage_chunk, model, n, target, tuple(methods), seed), reps, workers
     )
     label = spec.canonical()
-    if spec.kind == "ladar":
-        return [
-            _rate_row(model, n, label, "sn", level,
-                      merged["pivot"] <= get_quantile(spec.dim, round(1.0 - level, 6)))
-            for level in levels
-        ]
-    truth = float(true_value(model, spec))
     rows = []
     for level in levels:
         for method in methods:
             if method == "sn":
-                crit = get_quantile(1, round(1.0 - level, 6))
-                halves = np.sqrt(crit * merged["w"] / n)
-                covered = np.abs(merged["center"] - truth) <= halves
+                crit = get_quantile(spec.dim, round(1.0 - level, 6))
+                covered = merged["pivot"] <= crit
+                w = merged["w"][:, 0, 0]
+                widths = None if spec.kind == "ladar" else 2.0 * np.sqrt(crit * w / n)
             elif method == "eff":
-                z = normal_quantile(0.5 + level / 2.0)
-                halves = z * merged["eff_scale"]
-                covered = np.abs(merged["eff_center"] - truth) <= halves
+                halves = normal_quantile(0.5 + level / 2.0) * merged["eff_scale"]
+                covered, widths = merged["eff_miss"] <= halves, 2.0 * halves
             else:
                 raise ValidationError(f"unknown coverage method {method!r}")
-            rows.append(_rate_row(model, n, label, method, level, covered, 2.0 * halves))
+            rows.append(_rate_row(model, n, label, method, level, covered, widths))
     return rows
 
 
@@ -421,18 +419,12 @@ def run_block_sweep(
 
 @dataclass(frozen=True)
 class StudyJob:
+    """A named study: its cells, each a runner and its arguments other than
+    reps, seed and workers, run in order."""
+
     name: str
-    kind: str  # size | power | coverage | sweep
     full_reps: int
-    models: tuple[str, ...] = ()
-    sizes: tuple[int, ...] = ()
-    ks: tuple[int, ...] = ()
-    alphas: tuple[float, ...] = ()
-    pairs: tuple[tuple[str, str], ...] = ()  # (model, target) for coverage
-    levels: tuple[float, ...] = ()
-    methods: tuple[str, ...] = ("sn",)
-    boot_reps: int = 0
-    block_lengths: tuple[int, ...] = ()
+    cells: tuple[tuple[Callable[..., list[ExperimentRow]], dict], ...]
 
 
 _WHITE_MODELS = ("iidn", "t6", "lognorm", "onedep", "hetero", "nonmds", "garch", "bilinear")
@@ -442,50 +434,34 @@ _SWEEP_MODELS = ("ar1:0:normal", "ar1:0.5:normal", "ar1:0.8:normal")
 _ALL_BLOCKS = tuple(range(1, 16))
 
 
+def _test_job(name, runner, models, n):
+    cells = tuple((runner, dict(model=m, n=n, ks=(1, 3, 5), alphas=(0.05, 0.10))) for m in models)
+    return StudyJob(name, 5000, cells)
+
+
 def _coverage_job(name, pairs, full_reps, methods=("sn",)):
-    return StudyJob(
-        name=name,
-        kind="coverage",
-        full_reps=full_reps,
-        sizes=(150, 600),
-        pairs=pairs,
-        levels=(0.90, 0.95),
-        methods=methods,
+    cells = tuple(
+        (run_coverage, dict(model=m, n=n, target=t, levels=(0.90, 0.95), methods=methods))
+        for n in (150, 600)
+        for m, t in pairs
     )
+    return StudyJob(name, full_reps, cells)
 
 
 def _sweep_job(name, target, full_reps):
-    return StudyJob(
-        name=name,
-        kind="sweep",
-        full_reps=full_reps,
-        sizes=(50,),
-        pairs=tuple((m, target) for m in _SWEEP_MODELS),
-        levels=(0.95,),
-        boot_reps=1000,
-        block_lengths=_ALL_BLOCKS,
+    cells = tuple(
+        (run_block_sweep, dict(model=m, n=50, target=target, level=0.95,
+                               block_lengths=_ALL_BLOCKS, boot_reps=1000))
+        for m in _SWEEP_MODELS
     )
+    return StudyJob(name, full_reps, cells)
 
 
 STUDIES = {
-    "1a": StudyJob(
-        name="1a", kind="size", full_reps=5000, models=_WHITE_MODELS, sizes=(100,),
-        ks=(1, 3, 5), alphas=(0.05, 0.10),
-    ),
-    "1b": StudyJob(
-        name="1b", kind="size", full_reps=5000, models=_WHITE_MODELS, sizes=(500,),
-        ks=(1, 3, 5), alphas=(0.05, 0.10),
-    ),
-    "2a": StudyJob(
-        name="2a", kind="power", full_reps=5000,
-        models=tuple(f"ar1:{r}:garch" for r in _POWER_RHOS), sizes=(100,),
-        ks=(1, 3, 5), alphas=(0.05, 0.10),
-    ),
-    "2b": StudyJob(
-        name="2b", kind="power", full_reps=5000,
-        models=tuple(f"ar1:{r}:bilinear" for r in _POWER_RHOS), sizes=(100,),
-        ks=(1, 3, 5), alphas=(0.05, 0.10),
-    ),
+    "1a": _test_job("1a", run_size, _WHITE_MODELS, 100),
+    "1b": _test_job("1b", run_size, _WHITE_MODELS, 500),
+    "2a": _test_job("2a", run_power, tuple(f"ar1:{r}:garch" for r in _POWER_RHOS), 100),
+    "2b": _test_job("2b", run_power, tuple(f"ar1:{r}:bilinear" for r in _POWER_RHOS), 100),
     "3a": _coverage_job(
         "3a", tuple((m, "acov:1") for m in _AR_MA_MODELS), 1000, methods=("sn", "eff")
     ),
@@ -539,32 +515,6 @@ def run_study(
     job = get_study(name)
     count = resolve_reps(job, scale, reps)
     rows: list[ExperimentRow] = []
-    if job.kind in ("size", "power"):
-        runner = run_size if job.kind == "size" else run_power
-        for n in job.sizes:
-            for model in job.models:
-                rows.extend(runner(model, n, job.ks, job.alphas, count, seed, workers))
-        return rows
-    if job.kind == "coverage":
-        for n in job.sizes:
-            for model, target in job.pairs:
-                rows.extend(
-                    run_coverage(model, n, target, job.levels, count, seed, job.methods, workers)
-                )
-        return rows
-    for n in job.sizes:
-        for model, target in job.pairs:
-            rows.extend(
-                run_block_sweep(
-                    model,
-                    n,
-                    target,
-                    job.levels[0],
-                    job.block_lengths,
-                    job.boot_reps,
-                    count,
-                    seed,
-                    workers,
-                )
-            )
+    for runner, kwargs in job.cells:
+        rows.extend(runner(**kwargs, reps=count, seed=seed, workers=workers))
     return rows

@@ -24,8 +24,14 @@ RECORD = Path(__file__).resolve().parent / "data" / "golden"
 RTOL = 1e-12
 
 _CUTOFFS = ("pi", "pi/2", "pi/4", "3pi/4", "1.0")
-_MODELS = ("m1", "m2")
-_STUDIES = ("3a", "3b", "4a", "4b", "fig4")
+_MODELS = ("m1", "m2", "m7")
+_STUDIES = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b",
+            "fig1", "fig2", "fig3", "fig4")
+_SCALARS = ("mean", "median", "acov:1", "acf:1", "specmean:pi/2", "specratio:pi/2")
+_MBB = "--block 5 --reps 200 --seed 1"
+# one model of each noise family, of each M-model innovation, and an ar1
+_FAMILIES = ("iidn", "t6", "lognorm", "onedep", "hetero", "nonmds", "garch", "bilinear",
+             "m1", "m5", "m9", "ar1:0.5:garch")
 # a number: its sign, digits, fraction and exponent in one token
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 _INTEGER = re.compile(r"-?\d+")
@@ -33,15 +39,30 @@ _INTEGER = re.compile(r"-?\d+")
 
 def requests() -> dict[str, list[str]]:
     """File name -> the requests recorded in it.  ``{m1}`` stands for a file
-    holding that model's series, ``{cache}`` for an empty cache."""
-    ci = [f"generate --model {m} --n 600 --seed 1" for m in _MODELS]
+    holding that model's series, ``{cache}`` for an empty cache and
+    ``{shipped}`` for the critical-value tables shipped with the package."""
+    ci = [f"generate --model {m} --n 600 --seed 1" for m in ("m1", "m2")]
     ci += [f"ci --stat {kind}:{x} --method sn {{{m}}}"
-           for m in _MODELS for kind in ("specmean", "specratio") for x in _CUTOFFS]
+           for m in ("m1", "m2") for kind in ("specmean", "specratio") for x in _CUTOFFS]
     files = {"ci_spectral.json": ci}
+    files["ci_sn.json"] = [f"ci --stat {s} --method sn {{{m}}}"
+                           for m in _MODELS for s in _SCALARS + ("acov:3", "acf:2")]
+    files["ci_sn.json"] += ["ci --stat ladar:1 --method sn {m1}", "ci --stat ladar:1 --method sn {m2}",
+                            "ci --stat ladar:2 --method sn {m7}"]
+    files["ci_mbb.json"] = [f"ci --stat {s} --method {method} {_MBB} {{m1}}"
+                            for s in _SCALARS for method in ("mbb-pct", "mbb-normal", "mbb-sn")]
+    files["ci_mbb_ladar.json"] = [
+        "ci --stat ladar:1 --method mbb-sn --block 5 --reps 20 --seed 1 {m1}",
+        "ci --stat ladar:2 --method mbb-sn --block 5 --reps 20 --seed 1 {m7}"]
+    files["test_noncorr.json"] = [f"test-noncorr --k {k} --method {method} {{{m}}}"
+                                  for m in _MODELS for k in (1, 2, 5)
+                                  for method in ("sn", "lobato", "nw")]
     for table in _STUDIES:
         files[f"simulate_{table}.json"] = [f"simulate --table {table} --reps 8 --seed 1"]
     files["critvals_toy.json"] = [
         "critvals --q 1 --alpha 0.2 --grid 150 --reps 1000 --cache {cache}"]
+    files["critvals_shipped.json"] = [f"critvals --q {q} --cache {{cache}}" for q in range(1, 7)]
+    files["generate.json"] = [f"generate --model {m} --n 40 --seed 1" for m in _FAMILIES]
     return files
 
 
@@ -59,7 +80,9 @@ def _main(args: list[str]) -> str:
 def run(name: str, work: Path) -> list[list]:
     """[request, stdout] of each request of one file, with paths replaced by
     their placeholders."""
-    places = {"{cache}": str(work / name / "critvals.json")}
+    from selfnorm.critvals import _shipped_tables
+
+    places = {"{cache}": str(work / name / "critvals.json"), "{shipped}": _shipped_tables()[0]}
     for model in _MODELS:
         places["{%s}" % model] = str(work / f"{model}.txt")
         if not Path(places["{%s}" % model]).exists():

@@ -250,7 +250,7 @@ class TestSuite:
         cfg = MbbConfig(block_length=5, replications=400, seed=1234, level=0.9)
         seq = prefix_estimates(_MEAN, x)
         est, w = float(seq.final[0]), wn_matrix(seq)[0, 0]
-        root, pivots = bootstrap_suite(x, _MEAN, cfg, est, w)
+        root, pivots = bootstrap_suite(x, _MEAN, cfg, est)
         suite = suite_intervals([root], [pivots], est, w, x.size, cfg.level)
         builders = {
             "mbb-pct": mbb_percentile_ci,
@@ -329,7 +329,7 @@ class TestRaggedReplication:
         self._mark(monkeypatch, x, {3: 0.5, 6: 0.55})
         seq = prefix_estimates(_MEAN, x)
         est, w = float(seq.final[0]), wn_matrix(seq)[0, 0]
-        sets = [bootstrap_suite(x, _MEAN, self._cfg(b), est, w) for b in self.BLOCKS]
+        sets = [bootstrap_suite(x, _MEAN, self._cfg(b), est) for b in self.BLOCKS]
         kept = {b: root.size for b, (root, _) in zip(self.BLOCKS, sets)}
         assert {b for b in self.BLOCKS if kept[b] < self.REPS} == {3, 6}
         bounds = suite_intervals(*zip(*sets), est, w, self.N, self.LEVEL)

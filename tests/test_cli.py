@@ -170,7 +170,7 @@ class TestCi:
                     stdin=m1_series)
         assert r.returncode == 1
         assert r.stderr.splitlines() == [
-            "selfnorm: alpha must be in (0, 1), got 0.0"]
+            "selfnorm: level 0.9999999 rounds to 1 at six decimals"]
 
 
     def test_level_rounding_to_zero_names_the_level(self, m1_series):

@@ -181,6 +181,8 @@ class TestUnwritableCache:
     def test_directory_as_cache_path(self, tmp_path, capsys):
         self._check(tmp_path, capsys)
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+        # nor a sidecar lock in its parent
+        assert not tmp_path.with_name(tmp_path.name + ".lock").exists()
 
     def test_replace_refused(self, tmp_path, monkeypatch, capsys):
         def refuse(src, dst):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import ctypes
+import inspect
 import io
 import json
 import math
@@ -246,16 +247,15 @@ class TestRunners:
 
 class TestStudyRegistry:
     def test_all_studies_well_formed(self):
+        runners = (run_size, run_power, run_coverage, run_block_sweep)
         for name, job in STUDIES.items():
             assert job.name == name
-            assert job.kind in ("size", "power", "coverage", "sweep")
             assert job.full_reps >= 500
-            if job.kind in ("size", "power"):
-                assert job.models and job.ks and job.alphas
-            elif job.kind == "coverage":
-                assert job.pairs and job.levels
-            else:
-                assert job.block_lengths and job.boot_reps > 0
+            assert job.cells
+            for runner, kwargs in job.cells:
+                assert runner in runners
+                # every argument but reps, seed and workers comes from the cell
+                inspect.signature(runner).bind(**kwargs, reps=1, seed=0, workers=1)
 
     def test_expected_names_present(self):
         expect = {"1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b",
