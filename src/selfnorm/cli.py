@@ -137,7 +137,7 @@ def _cmd_ci(args) -> int:
         result = build(seq, crit, level, estimator=spec.canonical())
         _echo(
             f"{_PROG} ci --stat {spec.canonical()} --method sn "
-            f"--level {level:g} {data_label}"
+            f"--level {level!r} {data_label}"
         )
         print(result.to_json())
         return 0
@@ -159,7 +159,7 @@ def _cmd_ci(args) -> int:
     result = builder(ts, spec, cfg)
     _echo(
         f"{_PROG} ci --stat {spec.canonical()} --method {args.method} "
-        f"--level {level:g} --block {args.block} --reps {args.reps} "
+        f"--level {level!r} --block {args.block} --reps {args.reps} "
         f"--seed {seed} {data_label}"
     )
     print(json.dumps(result.to_dict()))
@@ -170,6 +170,9 @@ def _cmd_test_noncorr(args) -> int:
     alpha = args.alpha
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be strictly between 0 and 1")
+    # the sn and lobato tables are keyed by the rounded alpha
+    if args.method != "nw" and round(alpha, 6) in (0.0, 1.0):
+        raise ValidationError(f"alpha {alpha!r} rounds to {round(alpha, 6):g} at six decimals")
     ts = _read_input(args.data)
     _this.check_k(ts.n, args.k)
     if args.method == "nw":
@@ -180,7 +183,7 @@ def _cmd_test_noncorr(args) -> int:
         result = runner(ts, args.k, alpha, crit)
     _echo(
         f"{_PROG} test-noncorr --k {args.k} --method {args.method} "
-        f"--alpha {alpha:g} {args.data or '-'}"
+        f"--alpha {alpha!r} {args.data or '-'}"
     )
     print(json.dumps(result.to_dict()))
     return 0
@@ -202,7 +205,7 @@ def _cmd_critvals(args) -> int:
     if args.q is not None:
         repro += f" --q {args.q}"
     if args.alpha is not None:
-        repro += f" --alpha {args.alpha:g}"
+        repro += f" --alpha {args.alpha!r}"
     repro += f" --grid {args.grid} --seed {args.seed}"
     if args.reps is not None:
         repro += f" --reps {args.reps}"

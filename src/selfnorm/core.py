@@ -7,6 +7,7 @@ parallel Monte Carlo runs reproducible independently of worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
@@ -305,23 +306,103 @@ def quadform_batch(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 # Reference quantiles
 # ---------------------------------------------------------------------------
 
-# scipy.special is imported on first use: the self-normalized paths never
-# need it, and importing scipy costs far more than their arithmetic.  Both
-# functions are what scipy.stats evaluates for norm.ppf and chi2.ppf.
+# The normal quantile is Cephes' ndtri (S. L. Moshier), the routine behind
+# scipy.stats.norm.ppf, kept in its operation order so that it reproduces
+# scipy bit for bit: a rational function of p - 1/2 in the centre and of
+# 1/sqrt(-2 log p) in the tails, split at exp(-2).  Each Q has its leading 1.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _horner(x: float, coef: tuple) -> float:
+    value = 0.0
+    for c in coef:
+        value = value * x + c
+    return value
+
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile at p, equal to scipy.stats.norm.ppf(p)."""
-    from scipy.special import ndtri
+    if not 0.0 < p < 1.0:
+        return {0.0: -math.inf, 1.0: math.inf}.get(p, math.nan)
+    y, upper = (1.0 - p, True) if p > 1.0 - _EXP_M2 else (p, False)
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    num, den = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _horner(z, num) / _horner(z, den)
+    return x if upper else -x
 
-    return float(ndtri(p))
+
+def _gamma_term(a: float, y: float) -> float:
+    """y^a e^-y / Gamma(a + 1) for a > -1 and y > 0.  For large a its three
+    factors nearly cancel, so it is formed from Stirling's error and a log1p
+    deviance (Loader 2000); for small a in logs only where e^-y underflows."""
+    if a < 15:
+        if y < 700:
+            return y ** a * math.exp(-y) / math.gamma(a + 1)
+        return math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+    s = 1.0 / (a * a)
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / a
+    return math.exp(-stirling - a * math.log1p((a - y) / y) - (y - a)) / math.sqrt(2 * math.pi * a)
+
+
+def _chi2_sf_pdf(k: int, x: float) -> tuple[float, float]:
+    """Survival function and density of chi-square(k) at x > 0 for integer k
+    (Abramowitz and Stegun 26.4.4-26.4.5).  With y = x/2 the survival is
+    erfc(sqrt(y)) for odd k, and 0 for even k, plus the terms
+    y^a e^-y / Gamma(a + 1) for a = k/2 - 1, k/2 - 2, ... >= 0, summed from
+    the top one down; the density is half the top term."""
+    y, a = 0.5 * x, 0.5 * k - 1.0
+    top = _gamma_term(a, y)
+    term, total = top, (math.erfc(math.sqrt(y)) if k % 2 else 0.0)
+    while a >= 0.0:
+        total += term
+        if a < y and term < 1e-17 * total:
+            break
+        term *= a / y
+        a -= 1.0
+    return total, 0.5 * top
 
 
 def chi2_quantile(k: int, alpha: float) -> float:
-    """Upper alpha quantile of chi-square(k), equal to
-    scipy.stats.chi2.ppf(1 - alpha, df=k)."""
-    from scipy.special import gammaincinv
-
-    return float(2 * gammaincinv(k / 2, 1 - alpha))
+    """Upper alpha quantile of chi-square(k) for integer k, equal to
+    2 * scipy.special.gammainccinv(k / 2, alpha) within 1e-13 relative for
+    alpha <= 0.9.  Newton steps on log(survival / alpha) from the
+    Wilson-Hilferty start; alpha is used as given, never as 1 - alpha, so
+    small alphas keep their digits."""
+    c = 2.0 / (9.0 * k)
+    x = k * max(1.0 - c - normal_quantile(alpha) * math.sqrt(c), 0.1) ** 3
+    for _ in range(100):
+        sf, pdf = _chi2_sf_pdf(k, x)
+        if pdf == 0.0:  # the start overshot into underflow
+            x *= 0.5
+            continue
+        step = math.log(sf / alpha) * sf / pdf
+        x, last = max(x + step, 0.25 * x), x  # Newton may overshoot below 0
+        if abs(x - last) <= 1e-15 * x:
+            break
+    return x
 
 
 # ---------------------------------------------------------------------------

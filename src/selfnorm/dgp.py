@@ -11,6 +11,7 @@ stream, so batches are reproducible row by row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,6 +22,7 @@ from .core import RngStream, ValidationError
 from .estimators import EstimatorSpec, fourier_coeffs
 
 BURN_IN = 1000
+_BLOCK = 32  # steps of the AR scan filtered by one matmul
 
 # periodic scale pattern for the heteroscedastic white noise
 _HETERO_PATTERN = np.array([1, 1, 1, 2, 3, 1, 1, 1, 1, 2, 4, 6], dtype=np.float64)
@@ -201,11 +203,44 @@ def generate_batch(model: ModelSpec | str, n: int, streams: Sequence[RngStream])
             acc += th * x[:, len(theta) - j : x.shape[1] - j]
         x = acc
     if spec.ar:
-        from scipy.signal import lfilter  # costs more to import than to run
-
-        denom = np.concatenate(([1.0], -np.asarray(spec.ar)))
-        x = lfilter([1.0], denom, x, axis=1)
+        return _ar_filter(x, spec.ar, n)
     return x[:, -n:]
+
+
+@functools.lru_cache(maxsize=None)
+def _ar_block_maps(ar: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(T, G) with one block of the AR recursion x_t = e_t + sum_i ar[i]
+    x_{t-1-i} = inputs @ T + state @ G: T is the Toeplitz matrix of the
+    impulse response, state the p outputs before the block, oldest first."""
+    p = len(ar)
+    # rows: the response to each of the p state values, then to a unit impulse
+    y = np.zeros((p + 1, p + _BLOCK))
+    y[:, :p] = np.eye(p + 1, p)
+    y[p, p] = 1.0
+    for t in range(p, p + _BLOCK):
+        y[:, t] += y[:, t - p:t] @ np.asarray(ar[::-1])
+    lag = np.arange(_BLOCK)
+    toeplitz = np.triu(y[p, p:][np.abs(lag[None, :] - lag[:, None])])
+    toeplitz.flags.writeable = y.flags.writeable = False  # shared by the cache
+    return toeplitz, y[:p, p:]
+
+
+def _ar_filter(e: np.ndarray, ar: tuple[float, ...], n: int) -> np.ndarray:
+    """The last n outputs of the AR recursion driven by the rows of e, from a
+    zero start, as a blocked scan (Blelloch 1990): a burn-in block yields
+    only the p outputs that carry into the next one."""
+    t_map, g_map = _ar_block_maps(ar)
+    rows, p, kept = e.shape[0], len(ar), -(-n // _BLOCK)
+    burn = e.shape[1] - kept * _BLOCK
+    lead = burn % _BLOCK  # a short first block, zero-padded on the left
+    out = (e[:, burn:].reshape(-1, _BLOCK) @ t_map).reshape(rows, kept, _BLOCK)
+    burn_tails = (e[:, lead:burn].reshape(-1, _BLOCK) @ t_map[:, -p:]).reshape(rows, -1, p)
+    tails = np.concatenate([burn_tails, out[:, :-1, -p:]], axis=1)
+    states = [e[:, :lead] @ t_map[_BLOCK - lead:, -p:]]
+    for b in range(tails.shape[1]):
+        states.append(tails[:, b] + states[-1] @ g_map[:, -p:])
+    out += np.stack(states[-kept:], axis=1) @ g_map
+    return out.reshape(rows, -1)[:, -n:]
 
 
 def generate(model: ModelSpec | str, n: int, rng: RngStream) -> np.ndarray:

@@ -38,9 +38,14 @@ _INTEGER = re.compile(r"-?\d+")
 
 
 def requests() -> dict[str, list[str]]:
-    """File name -> the requests recorded in it.  ``{m1}`` stands for a file
-    holding that model's series, ``{cache}`` for an empty cache and
-    ``{shipped}`` for the critical-value tables shipped with the package."""
+    """File name -> the requests recorded in it.  ``{m1}`` stands for the
+    stored series ``series_m1.txt`` (the output of ``generate --model m1 --n
+    600 --seed 1`` when the record was made), ``{cache}`` for an empty cache
+    and ``{shipped}`` for the critical-value tables shipped with the package.
+    The requests read stored series, not fresh ones, so that a change in the
+    last bits of the generator, checked by ``generate.json`` and the
+    ``generate`` lines of ``ci_spectral.json``, does not reach statistics
+    that amplify it."""
     ci = [f"generate --model {m} --n 600 --seed 1" for m in ("m1", "m2")]
     ci += [f"ci --stat {kind}:{x} --method sn {{{m}}}"
            for m in ("m1", "m2") for kind in ("specmean", "specratio") for x in _CUTOFFS]
@@ -83,11 +88,7 @@ def run(name: str, work: Path) -> list[list]:
     from selfnorm.critvals import _shipped_tables
 
     places = {"{cache}": str(work / name / "critvals.json"), "{shipped}": _shipped_tables()[0]}
-    for model in _MODELS:
-        places["{%s}" % model] = str(work / f"{model}.txt")
-        if not Path(places["{%s}" % model]).exists():
-            text = _main(["generate", "--model", model, "--n", "600", "--seed", "1"])
-            Path(places["{%s}" % model]).write_text(text)
+    places.update({"{%s}" % model: str(RECORD / f"series_{model}.txt") for model in _MODELS})
     out = []
     for request in requests()[name]:
         stdout = _main([places.get(a, a) for a in request.split()])

@@ -173,6 +173,15 @@ class TestCi:
             "selfnorm: level 0.9999999 rounds to 1 at six decimals"]
 
 
+    def test_echo_reproduces_the_request(self, tmp_path, m1_series):
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        r = run_cli(["ci", "--stat", "mean", "--method", "mbb-sn", "--block", "5", "--reps", "50",
+                     "--seed", "1", "--level", "0.9999999", str(path)])
+        assert r.returncode == 0, r.stderr
+        assert "--level 0.9999999 " in r.stderr
+        assert _rerun_echo(r) == r.stdout
+
     def test_level_rounding_to_zero_names_the_level(self, m1_series):
         r = run_cli(["ci", "--stat", "mean", "--level", "1e-300"], stdin=m1_series)
         assert r.returncode == 1
@@ -209,6 +218,24 @@ class TestNoncorr:
                                   "--alpha", "0.10"], stdin=m1_series).stdout)
         assert a5["critical_value"] > a10["critical_value"]
         assert a5["statistic"] == a10["statistic"]
+
+    @pytest.mark.parametrize("method", ["sn", "lobato"])
+    def test_alpha_rounding_to_zero_names_the_alpha(self, tmp_path, method):
+        # checked before the series is read: the file does not exist
+        r = run_cli(["test-noncorr", "--k", "1", "--method", method, "--alpha", "1e-7",
+                     str(tmp_path / "missing.txt")])
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["selfnorm: alpha 1e-07 rounds to 0 at six decimals"]
+
+    def test_nw_answers_at_any_alpha(self, tmp_path, m1_series):
+        # nw reads no table, so its alpha is not rounded
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        r = run_cli(["test-noncorr", "--k", "1", "--method", "nw", "--alpha", "1e-7", str(path)])
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["alpha"] == 1e-7
+        assert "--alpha 1e-07 " in r.stderr
+        assert _rerun_echo(r) == r.stdout
 
     @pytest.mark.parametrize("k,message", [
         ("0", "k must be >= 1"),
@@ -356,6 +383,14 @@ print(selfnorm.montecarlo.run_study.__module__)
 """
 
 
+def _rerun_echo(r):
+    """stdout of the command that a run echoed on stderr."""
+    (echo,) = [line for line in r.stderr.splitlines() if line.startswith("# selfnorm ")]
+    again = run_cli(echo.split()[2:])
+    assert again.returncode == 0, again.stderr
+    return again.stdout
+
+
 class TestStartup:
     def test_serving_path_does_not_import_scipy(self, tmp_path, m1_series):
         # warm the tables the requests read, then run them in a fresh interpreter
@@ -416,6 +451,48 @@ class TestStartup:
         assert cli.main(["test-noncorr", "--k", "2", "--method", "lobato", str(path)]) == 0
         assert calls == [2]
         assert json.loads(capsys.readouterr().out)["method"] == "lobato"
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from selfnorm.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+_MBB_FLAGS = ["--block", "5", "--reps", "100", "--seed", "1"]
+
+
+class TestWithoutScipy:
+    """Every subcommand runs with scipy unimportable and prints what it
+    prints with scipy present."""
+
+    @pytest.mark.parametrize("args", [
+        *(pytest.param(["generate", "--model", m, "--n", "80", "--seed", "3"], id=f"generate-{m}")
+          for m in ("m1", "m5", "m9", "ar1:0.5:garch")),
+        *(pytest.param(["ci", "--stat", "mean", "--method", m, *(_MBB_FLAGS if m != "sn" else []),
+                        "SERIES"], id=f"ci-{m}")
+          for m in ("sn", "mbb-pct", "mbb-normal", "mbb-sn")),
+        *(pytest.param(["test-noncorr", "--k", "2", "--method", m, "SERIES"], id=f"test-noncorr-{m}")
+          for m in ("sn", "lobato", "nw")),
+        pytest.param(["critvals", "--q", "1", "--alpha", "0.2", "--grid", "150", "--reps", "1000",
+                      "--cache", "CACHE"], id="critvals"),
+        *(pytest.param(["simulate", "--table", t, "--reps", "2", "--seed", "1"], id=f"simulate-{t}")
+          for t in ("1b", "4a", "fig1")),
+    ])
+    def test_same_stdout_without_scipy(self, tmp_path, m1_series, args):
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        places = {"SERIES": str(path), "CACHE": str(tmp_path / "critvals.json")}
+        argv = [places.get(a, a) for a in args]
+        # the blocked run goes first, so critvals simulates its table without scipy
+        blocked = run_cli(["-c", _WITHOUT_SCIPY, *argv], module=False)
+        assert blocked.returncode == 0, blocked.stderr
+        free = run_cli(argv)
+        assert free.returncode == 0, free.stderr
+        assert blocked.stdout == free.stdout
 
 
 class TestSimulate:

@@ -186,8 +186,13 @@ class TestEstimateSequence:
         assert seq.dim == 2
 
 
+_CHI2_ALPHAS = [1e-6, 1e-4, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.2, 0.5, 0.9]
+
+
 class TestReferenceQuantiles:
-    """The scipy.special formulas reproduce scipy.stats bit for bit."""
+    """The port of Cephes ndtri reproduces scipy bit for bit; the chi-square
+    quantile agrees with scipy's gammainccinv, which also takes alpha itself,
+    not 1 - alpha."""
 
     def test_normal_quantile_matches_norm_ppf(self):
         from scipy import stats
@@ -197,9 +202,28 @@ class TestReferenceQuantiles:
             p = 0.5 + float(level) / 2.0
             assert normal_quantile(p) == float(stats.norm.ppf(p)), level
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1])
-    def test_chi2_quantile_matches_chi2_ppf(self, alpha):
-        from scipy import stats
+    def test_normal_quantile_matches_ndtri_in_the_tails(self):
+        from scipy.special import ndtri
 
-        for k in range(1, 11):
-            assert chi2_quantile(k, alpha) == float(stats.chi2.ppf(1 - alpha, df=k)), k
+        rng = np.random.default_rng(3)
+        ps = np.concatenate([10.0 ** -np.arange(1, 301), 10.0 ** rng.uniform(-300, 0, 2000),
+                             1.0 - 10.0 ** -np.arange(1, 17), rng.uniform(size=2000)])
+        for p in ps.tolist():
+            assert normal_quantile(p) == float(ndtri(p)), p
+        assert normal_quantile(0.0) == -np.inf and normal_quantile(1.0) == np.inf
+
+    @pytest.mark.parametrize("alpha", _CHI2_ALPHAS)
+    def test_chi2_quantile_matches_chi2_ppf(self, alpha):
+        from scipy.special import gammainccinv
+
+        for k in range(1, 31):
+            ref = 2 * gammainccinv(k / 2, alpha)
+            assert chi2_quantile(k, alpha) == pytest.approx(ref, rel=2e-14, abs=0), k
+
+    @pytest.mark.parametrize("k", [100, 1000, 5000])
+    def test_chi2_quantile_for_many_lags(self, k):
+        from scipy.special import gammainccinv
+
+        for alpha in _CHI2_ALPHAS:
+            ref = 2 * gammainccinv(k / 2, alpha)
+            assert chi2_quantile(k, alpha) == pytest.approx(ref, rel=1e-13, abs=0), alpha

@@ -10,6 +10,7 @@ from selfnorm.core import RngStream, ValidationError
 from selfnorm.dgp import (
     BURN_IN,
     _HETERO_PATTERN,
+    _ar_filter,
     autocov_sequence,
     generate,
     generate_batch,
@@ -65,6 +66,39 @@ class TestDeterminism:
 
     def test_burn_in_constant(self):
         assert BURN_IN == 1000
+
+
+def _long_double_recursion(e, ar):
+    """x_t = e_t + sum_i ar[i] x_{t-1-i} from a zero start, in long double."""
+    e = np.ascontiguousarray(e.T, dtype=np.longdouble)  # time-major rows
+    x = np.zeros_like(e)
+    coef = [np.longdouble(a) for a in ar]
+    for t in range(e.shape[0]):
+        x[t] = e[t] + sum(a * x[t - 1 - i] for i, a in enumerate(coef) if t > i)
+    return x.T
+
+
+class TestArScan:
+    """The blocked AR scan against scipy's lfilter and an extended-precision
+    recursion, relative to the largest value of each filtered row."""
+
+    @pytest.mark.parametrize("ar", [(0.0,), (0.7,), (-0.99,), (0.99,), (0.6, 0.35)])
+    def test_rows_match_the_recursion(self, ar):
+        from scipy.signal import lfilter
+
+        extended = np.finfo(np.longdouble).eps < 1e-18
+        rng = np.random.default_rng(11)
+        for rows in (1, 7, 170):
+            for n in (2, 31, 32, 33, 600, 5000):
+                e = rng.standard_normal((rows, n + BURN_IN))
+                got = _ar_filter(e, ar, n)
+                ref = lfilter([1.0], np.concatenate(([1.0], -np.asarray(ar))), e, axis=1)
+                scale = np.abs(ref).max(axis=1, keepdims=True)
+                # lfilter's own rounding reaches 1.2e-15 of the row at |ar| = 0.99
+                assert (np.abs(got - ref[:, -n:]) / scale).max() <= 2e-15, (rows, n)
+                if extended:
+                    exact = _long_double_recursion(e, ar)[:, -n:]
+                    assert (np.abs(got - exact) / scale).max() <= 1e-15, (rows, n)
 
 
 class TestMoments:
