@@ -36,7 +36,10 @@ _EXPORTS = {
         "Ellipsoid", "Interval", "SelfNormResult", "sn_interval", "sn_pivot",
         "sn_region", "wn_batch", "wn_matrix",
     ),
-    "critvals": ("CritvalTable", "get_quantile", "load_table", "simulate_draws", "simulate_uq"),
+    "critvals": (
+        "CritvalTable", "get_quantile", "load_table", "simulate_draws", "simulate_uq",
+        "table_alpha",
+    ),
     "noncorr": (
         "EfficientCiResult", "NoncorrResult", "efficient_ci",
         "efficient_variance_batch", "lobato_stat", "lobato_test", "qtilde_stat",

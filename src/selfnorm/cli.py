@@ -34,6 +34,7 @@ from .critvals import (
     default_reps,
     get_quantile,
     load_table,
+    table_alpha,
 )
 from .estimators import EstimatorSpec, prefix_estimates
 from .inference import sn_interval, sn_region
@@ -170,15 +171,14 @@ def _cmd_test_noncorr(args) -> int:
     alpha = args.alpha
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be strictly between 0 and 1")
-    # the sn and lobato tables are keyed by the rounded alpha
-    if args.method != "nw" and round(alpha, 6) in (0.0, 1.0):
-        raise ValidationError(f"alpha {alpha!r} rounds to {round(alpha, 6):g} at six decimals")
+    if args.method != "nw":  # a usage error before the series is read
+        table_alpha(alpha)
     ts = _read_input(args.data)
     _this.check_k(ts.n, args.k)
     if args.method == "nw":
         result = _this.qtilde_test(ts, args.k, alpha)
     else:
-        crit = get_quantile(args.k, round(alpha, 6))
+        crit = get_quantile(args.k, alpha)
         runner = _this.sn_noncorr_test if args.method == "sn" else _this.lobato_test
         result = runner(ts, args.k, alpha, crit)
     _echo(
@@ -194,13 +194,10 @@ def _cmd_critvals(args) -> int:
     # a usage error prints one line: check every argument before the echo
     for q in qs:
         check_table_args(q, args.grid, args.reps)
-    alphas = set(DEFAULT_ALPHAS)
+    alphas = list(DEFAULT_ALPHAS)
     if args.alpha is not None:
-        # tables are keyed by the rounded alpha
-        alpha = round(args.alpha, 6)
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-        alphas.add(alpha)
+        alpha = table_alpha(args.alpha)
+        alphas.append(alpha)
     repro = f"{_PROG} critvals"
     if args.q is not None:
         repro += f" --q {args.q}"
@@ -216,7 +213,7 @@ def _cmd_critvals(args) -> int:
             grid=args.grid,
             reps=args.reps,
             seed=args.seed,
-            alphas=sorted(alphas),
+            alphas=alphas,
             cache_path=args.cache or None,
         )
         payload = {
@@ -228,7 +225,7 @@ def _cmd_critvals(args) -> int:
         }
         if args.alpha is not None:
             payload["alpha"] = alpha
-            payload["quantile"] = table.quantile(args.alpha)
+            payload["quantile"] = table.quantile(alpha)
         else:
             payload["quantiles"] = {f"{a:.6f}": v for a, v in sorted(table.quantiles.items())}
         print(json.dumps(payload))

@@ -266,7 +266,7 @@ def chol_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m, q, _ = a.shape
-    diag = a[:, np.arange(q), np.arange(q)]
+    diag = np.diagonal(a, axis1=1, axis2=2)
     tol = PIVOT_RTOL * np.maximum(diag.max(axis=1), 0.0)
     lower = np.zeros_like(a)
     ok = np.isfinite(a).all(axis=(1, 2))
@@ -279,13 +279,12 @@ def chol_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
         if j + 1 < q:
             num = a[:, j + 1:, j] - np.einsum("mik,mk->mi", lower[:, j + 1:, :j], lower[:, j, :j])
             lower[:, j + 1:, j] = num / lower[:, j, j][:, None]
-    y = np.zeros_like(b)
+    x = np.copy(b)  # forward, then back substitution, in place
     for i in range(q):
-        y[:, i] = (b[:, i] - _row_dots(lower[:, i, :i], y[:, :i])) / lower[:, i, i]
-    x = np.zeros_like(y)
+        x[:, i] = (x[:, i] - _row_dots(lower[:, i, :i], x[:, :i])) / lower[:, i, i]
     for i in range(q - 1, -1, -1):
-        x[:, i] = (y[:, i] - _row_dots(lower[:, i + 1:, i], x[:, i + 1:])) / lower[:, i, i]
-    x = np.where(ok[:, None], x, np.nan)
+        x[:, i] = (x[:, i] - _row_dots(lower[:, i + 1:, i], x[:, i + 1:])) / lower[:, i, i]
+    x[~ok] = np.nan
     return x, ok
 
 
@@ -385,12 +384,24 @@ def _chi2_sf_pdf(k: int, x: float) -> tuple[float, float]:
     return total, 0.5 * top
 
 
+def _chi2_cdf(k: int, x: float) -> float:
+    """Distribution function of chi-square(k) at x > 0: with y = x/2 and
+    a = k/2, y^a e^-y / Gamma(a + 1) times sum_j y^j / ((a + 1)...(a + j))."""
+    y, a = 0.5 * x, 0.5 * k
+    term = total = 1.0
+    while term > 1e-17 * total:
+        a += 1.0
+        term *= y / a
+        total += term
+    return _gamma_term(0.5 * k, y) * total
+
+
 def chi2_quantile(k: int, alpha: float) -> float:
     """Upper alpha quantile of chi-square(k) for integer k, equal to
-    2 * scipy.special.gammainccinv(k / 2, alpha) within 1e-13 relative for
-    alpha <= 0.9.  Newton steps on log(survival / alpha) from the
-    Wilson-Hilferty start; alpha is used as given, never as 1 - alpha, so
-    small alphas keep their digits."""
+    2 * scipy.special.gammainccinv(k / 2, alpha) within 1e-13 relative.
+    Newton steps from the Wilson-Hilferty start on log(survival / alpha) for
+    alpha <= 0.5, and on log(distribution / (1 - alpha)) above, where
+    1 - alpha is exact: each tail is taken where it keeps its digits."""
     c = 2.0 / (9.0 * k)
     x = k * max(1.0 - c - normal_quantile(alpha) * math.sqrt(c), 0.1) ** 3
     for _ in range(100):
@@ -398,7 +409,11 @@ def chi2_quantile(k: int, alpha: float) -> float:
         if pdf == 0.0:  # the start overshot into underflow
             x *= 0.5
             continue
-        step = math.log(sf / alpha) * sf / pdf
+        if alpha > 0.5:
+            cdf = _chi2_cdf(k, x)
+            step = math.log((1.0 - alpha) / cdf) * cdf / pdf
+        else:
+            step = math.log(sf / alpha) * sf / pdf
         x, last = max(x + step, 0.25 * x), x  # Newton may overshoot below 0
         if abs(x - last) <= 1e-15 * x:
             break

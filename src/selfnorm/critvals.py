@@ -57,9 +57,9 @@ def default_cache_path() -> Path:
 
 @dataclass(frozen=True)
 class CritvalTable:
-    """Simulated upper quantiles of U_q for one (q, grid, reps, seed); source
-    is the file load_table read the table from or stored it in, None when a
-    simulated table could not be stored."""
+    """Simulated upper quantiles of U_q for one (q, grid, reps, seed), keyed
+    by table_alpha; source is the file load_table read the table from or
+    stored it in, None when a simulated table could not be stored."""
 
     q: int
     grid: int
@@ -69,17 +69,17 @@ class CritvalTable:
     source: Optional[str] = field(default=None, compare=False)
 
     def quantile(self, alpha: float) -> float:
-        key = _alpha_key(alpha)
-        for a, v in self.quantiles.items():
-            if _alpha_key(a) == key:
-                return v
-        raise KeyError(f"alpha {alpha} not in table")
+        return self.quantiles[table_alpha(alpha)]
 
 
-def _alpha_key(alpha: float) -> str:
+def table_alpha(alpha: float) -> float:
+    """alpha rounded to six decimals, the key every table stores it under."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return format(alpha, ".6f")
+    key = round(float(alpha), 6)
+    if key in (0.0, 1.0):
+        raise ValidationError(f"alpha {alpha!r} rounds to {key:g} at six decimals")
+    return key
 
 
 def u_stat_from_increments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,10 +165,9 @@ def simulate_uq(
     seed: int = DEFAULT_SEED,
     alphas: Iterable[float] = DEFAULT_ALPHAS,
 ) -> CritvalTable:
-    """The upper quantiles of simulate_draws at the requested alphas."""
-    alphas = tuple(sorted(set(float(a) for a in alphas)))
-    for a in alphas:
-        _alpha_key(a)
+    """The upper quantiles of simulate_draws at the requested alphas, each
+    taken at its table_alpha."""
+    alphas = sorted({table_alpha(a) for a in alphas})
     out = simulate_draws(q, grid, reps, seed)
     quantiles = {
         a: float(np.quantile(out, 1.0 - a, method="linear")) for a in alphas
@@ -190,7 +189,7 @@ def table_to_json(table: CritvalTable) -> str:
         "grid": table.grid,
         "reps": table.reps,
         "seed": table.seed,
-        "quantiles": {_alpha_key(a): v for a, v in sorted(table.quantiles.items())},
+        "quantiles": {f"{a:.6f}": v for a, v in sorted(table.quantiles.items())},
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -273,17 +272,16 @@ def load_table(
     path = Path(cache_path) if cache_path is not None else default_cache_path()
     data = _load_cache(path)
     key = _table_key(q, grid, reps, seed)
-    want = tuple(sorted(set(float(a) for a in alphas)))
+    want = {table_alpha(a) for a in alphas}
     entry, source = data["tables"].get(key), str(path)
     if entry is None:
         source, shipped = _shipped_tables()
         entry = shipped.get(key)
     if entry is not None:
-        have = {k: float(v) for k, v in entry["quantiles"].items()}
-        if all(_alpha_key(a) in have for a in want):
-            quantiles = {float(k): v for k, v in have.items()}
-            return CritvalTable(q, grid, reps, seed, quantiles, source=source)
-        want = tuple(sorted(set(want) | {float(k) for k in have}))
+        have = {float(k): float(v) for k, v in entry["quantiles"].items()}
+        if want <= have.keys():
+            return CritvalTable(q, grid, reps, seed, have, source=source)
+        want |= have.keys()
     table = simulate_uq(q, grid, reps, seed, alphas=want)
     try:
         _add_table(path, key, json.loads(table_to_json(table)))
@@ -296,5 +294,4 @@ def load_table(
 def get_quantile(q: int, alpha: float) -> float:
     """Upper alpha quantile of U_q from the default table (grid, reps, seed),
     simulated if neither cache has it."""
-    alphas = set(DEFAULT_ALPHAS) | {float(alpha)}
-    return load_table(q, alphas=alphas).quantile(alpha)
+    return load_table(q, alphas=(*DEFAULT_ALPHAS, alpha)).quantile(alpha)

@@ -298,22 +298,18 @@ def batch_prefix_autocorr(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _fft_len(m: int) -> int:
-    """Smallest 2^a 3^b 5^c >= m, a length the FFT factors quickly.
+    """Smallest 2^a 3^b 5^c >= m >= 1, a length the FFT factors quickly.
 
     A power of two can be almost twice m and costs more than the 5-smooth
     length just above m."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < m:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+    while True:
+        rest = m
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return m
+        m += 1
 
 
 def batch_prefix_spectral(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import IO, Callable, Optional, Sequence
 
@@ -64,18 +64,6 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameter numbers
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
 _heap_kept = False
 
-CSV_COLUMNS = (
-    "model",
-    "n",
-    "target",
-    "method",
-    "level_or_alpha",
-    "value_pct",
-    "se_pct",
-    "mean_width",
-    "block_length",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentRow:
@@ -103,6 +91,9 @@ class ExperimentRow:
             width,
             block,
         ]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
 
 
 def write_csv(rows: Sequence[ExperimentRow], sink: IO[str], comments: Sequence[str] = ()) -> None:
@@ -267,7 +258,7 @@ _TEST_METHOD_ORDER = ("lobato", "sn", "nw")
 def _test_critical_value(method: str, k: int, alpha: float) -> float:
     if method == "nw":
         return chi2_quantile(k, alpha)
-    return get_quantile(k, round(alpha, 6))
+    return get_quantile(k, alpha)
 
 
 def _test_rows(model: str, n: int, ks, alphas, stats: dict, crit) -> list[ExperimentRow]:
@@ -371,7 +362,7 @@ def run_coverage(
     for level in levels:
         for method in methods:
             if method == "sn":
-                crit = get_quantile(spec.dim, round(1.0 - level, 6))
+                crit = get_quantile(spec.dim, 1.0 - level)
                 covered = merged["pivot"] <= crit
                 w = merged["w"][:, 0, 0]
                 widths = None if spec.kind == "ladar" else 2.0 * np.sqrt(crit * w / n)
@@ -399,7 +390,7 @@ def run_block_sweep(
     lengths, against the plain self-normalized interval (one row, no block
     column)."""
     label = EstimatorSpec.parse(target).canonical()
-    crit = get_quantile(1, round(1.0 - level, 6))
+    crit = get_quantile(1, 1.0 - level)
     chunk = partial(
         _sweep_chunk, model, n, target, seed, level, boot_reps, tuple(block_lengths), crit
     )

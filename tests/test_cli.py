@@ -307,7 +307,7 @@ class TestCritvals:
         r = run_cli(["critvals", "--q", "1", "--alpha", "1e-7"])
         assert r.returncode == 1
         assert r.stderr.splitlines() == [
-            "selfnorm: alpha must be in (0, 1), got 0.0"]
+            "selfnorm: alpha 1e-07 rounds to 0 at six decimals"]
 
     _TOY = ["critvals", "--q", "1", "--alpha", "0.2", "--grid", "150", "--reps", "1000"]
 

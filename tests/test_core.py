@@ -220,6 +220,15 @@ class TestReferenceQuantiles:
             ref = 2 * gammainccinv(k / 2, alpha)
             assert chi2_quantile(k, alpha) == pytest.approx(ref, rel=2e-14, abs=0), k
 
+    @pytest.mark.parametrize("alpha", [0.6, 0.9, 0.99, 0.999, 0.999999])
+    def test_chi2_quantile_near_one_keeps_its_digits(self, alpha):
+        # alpha > 0.5 lies in the lower tail, where 1 - alpha is exact
+        from scipy.special import gammaincinv
+
+        for k in [*range(1, 31), 100, 1000, 5000]:
+            ref = 2 * gammaincinv(k / 2, 1 - alpha)
+            assert chi2_quantile(k, alpha) == pytest.approx(ref, rel=1e-14, abs=0), k
+
     @pytest.mark.parametrize("k", [100, 1000, 5000])
     def test_chi2_quantile_for_many_lags(self, k):
         from scipy.special import gammainccinv

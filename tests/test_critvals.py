@@ -23,6 +23,7 @@ from selfnorm.critvals import (
     load_table,
     simulate_draws,
     simulate_uq,
+    table_alpha,
     table_to_json,
     u_stat_from_increments,
 )
@@ -159,6 +160,20 @@ class TestCache:
         assert table.quantile(0.05000000001) == 7.0
         with pytest.raises(KeyError):
             table.quantile(0.051)
+        assert table_alpha(1.0 - 0.9) == 0.1
+        with pytest.raises(ValueError, match=r"^alpha 0.9999996 rounds to 1 at six decimals$"):
+            table_alpha(0.9999996)
+
+    def test_alphas_sharing_a_key_file_one_quantile(self, tmp_path):
+        # 0.0500004 rounds to 0.05: its quantile is the one at 0.05, and the
+        # table holds that key once
+        path = tmp_path / "cache.json"
+        load_table(1, grid=150, reps=1000, seed=9, alphas=[0.05, 0.0500004], cache_path=path)
+        reread = load_table(1, grid=150, reps=1000, seed=9, alphas=[0.05], cache_path=path)
+        alone = simulate_uq(1, grid=150, reps=1000, seed=9, alphas=[0.05])
+        assert reread.quantile(0.05) == alone.quantile(0.05)
+        both = simulate_uq(1, grid=150, reps=1000, seed=9, alphas=[0.05, 0.0500004])
+        assert both.quantiles == alone.quantiles
 
     def test_load_table_has_default_alphas(self):
         table = load_table(1, grid=150, reps=3000, seed=9)
