@@ -30,6 +30,7 @@ from .critvals import (
     DEFAULT_ALPHAS,
     DEFAULT_GRID,
     DEFAULT_SEED,
+    check_probability,
     check_table_args,
     default_reps,
     get_quantile,
@@ -66,6 +67,7 @@ _PROG = "selfnorm"
 
 _CI_METHODS = ("sn", "mbb-pct", "mbb-normal", "mbb-sn")
 _TEST_METHODS = ("sn", "lobato", "nw")
+_MBB_REPS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,12 +104,6 @@ def _open_output(path: Optional[str]) -> IO[str]:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_level(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise ValidationError("level must be strictly between 0 and 1")
-    return level
-
-
 def _echo(repro: str) -> None:
     print(f"# {repro}", file=sys.stderr)
 
@@ -117,11 +113,11 @@ def _echo(repro: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ci(args) -> int:
-    level = _check_level(args.level)
+    level = check_probability(args.level, "level")
     spec = EstimatorSpec.parse(args.stat)
     data_label = args.data or "-"
     if args.method == "sn":
-        for flag, name in ((args.block, "--block"), (args.seed, "--seed")):
+        for flag, name in ((args.block, "--block"), (args.reps, "--reps"), (args.seed, "--seed")):
             if flag is not None:
                 raise ValidationError(f"{name} only applies to the mbb methods")
         # tables are keyed by the rounded alpha
@@ -144,11 +140,12 @@ def _cmd_ci(args) -> int:
         return 0
     if args.block is None:
         raise ValidationError(f"method {args.method} requires --block")
+    reps = _MBB_REPS if args.reps is None else args.reps
     seed = _resolve_seed(args.seed)
     ts = _read_input(args.data)
     cfg = _this.MbbConfig(
         block_length=args.block,
-        replications=args.reps,
+        replications=reps,
         seed=seed,
         level=level,
     )
@@ -160,7 +157,7 @@ def _cmd_ci(args) -> int:
     result = builder(ts, spec, cfg)
     _echo(
         f"{_PROG} ci --stat {spec.canonical()} --method {args.method} "
-        f"--level {level!r} --block {args.block} --reps {args.reps} "
+        f"--level {level!r} --block {args.block} --reps {reps} "
         f"--seed {seed} {data_label}"
     )
     print(json.dumps(result.to_dict()))
@@ -169,9 +166,11 @@ def _cmd_ci(args) -> int:
 
 def _cmd_test_noncorr(args) -> int:
     alpha = args.alpha
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must be strictly between 0 and 1")
-    if args.method != "nw":  # a usage error before the series is read
+    # usage errors before the series is read; nw reads no table, so its
+    # alpha is not rounded
+    if args.method == "nw":
+        check_probability(alpha)
+    else:
         table_alpha(alpha)
     ts = _read_input(args.data)
     _this.check_k(ts.n, args.k)
@@ -227,7 +226,7 @@ def _cmd_critvals(args) -> int:
             payload["alpha"] = alpha
             payload["quantile"] = table.quantile(alpha)
         else:
-            payload["quantiles"] = {f"{a:.6f}": v for a, v in sorted(table.quantiles.items())}
+            payload["quantiles"] = table.to_dict()["quantiles"]
         print(json.dumps(payload))
     return 0
 
@@ -282,7 +281,7 @@ def build_parser() -> _Parser:
     ci.add_argument("--method", choices=_CI_METHODS, default="sn")
     ci.add_argument("--level", type=float, default=0.95)
     ci.add_argument("--block", type=int, default=None, help="block length (mbb methods)")
-    ci.add_argument("--reps", type=int, default=1000, help="bootstrap replications (mbb methods)")
+    ci.add_argument("--reps", type=int, default=None, help=f"bootstrap replications (mbb methods, default {_MBB_REPS})")
     ci.add_argument("--seed", type=int, default=None, help="bootstrap seed (default: random)")
     ci.set_defaults(fn=_cmd_ci)
 

@@ -71,12 +71,27 @@ class CritvalTable:
     def quantile(self, alpha: float) -> float:
         return self.quantiles[table_alpha(alpha)]
 
+    def to_dict(self) -> dict:
+        """The entry a cache file stores, quantiles keyed by six-decimal text."""
+        return {
+            "q": self.q,
+            "grid": self.grid,
+            "reps": self.reps,
+            "seed": self.seed,
+            "quantiles": {f"{a:.6f}": v for a, v in sorted(self.quantiles.items())},
+        }
+
+
+def check_probability(value: float, name: str = "alpha") -> float:
+    """Reject an alpha or level outside (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} must be in (0, 1), got {value}")
+    return value
+
 
 def table_alpha(alpha: float) -> float:
     """alpha rounded to six decimals, the key every table stores it under."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    key = round(float(alpha), 6)
+    key = round(float(check_probability(alpha)), 6)
     if key in (0.0, 1.0):
         raise ValidationError(f"alpha {alpha!r} rounds to {key:g} at six decimals")
     return key
@@ -184,14 +199,7 @@ def _table_key(q: int, grid: int, reps: int, seed: int) -> str:
 
 
 def table_to_json(table: CritvalTable) -> str:
-    payload = {
-        "q": table.q,
-        "grid": table.grid,
-        "reps": table.reps,
-        "seed": table.seed,
-        "quantiles": {f"{a:.6f}": v for a, v in sorted(table.quantiles.items())},
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(table.to_dict(), sort_keys=True)
 
 
 def _load_cache(path) -> dict:
@@ -284,7 +292,7 @@ def load_table(
         want |= have.keys()
     table = simulate_uq(q, grid, reps, seed, alphas=want)
     try:
-        _add_table(path, key, json.loads(table_to_json(table)))
+        _add_table(path, key, table.to_dict())
     except OSError as exc:  # the answer stands; only the cache misses it
         print(f"selfnorm: critical values not cached: {exc}", file=sys.stderr)
         return table

@@ -4,9 +4,13 @@ White-noise-with-structure models for the size tables (iid families,
 one-dependent and heteroscedastic products, a non-martingale-difference
 white noise, GARCH and bilinear noise), linear AR/MA models with three
 innovation flavors for the coverage tables, and AR(1) models with dependent
-innovations for the power tables.  All recursive models discard a
-1000-observation burn-in; every replication draws from its own counter-seeded
-stream, so batches are reproducible row by row.
+innovations for the power tables.  Each noise family is one row of the
+``_NOISES`` table: how a raw row is drawn, how many raw values beyond the
+series length it takes, the map from raw rows to the noise, and its
+stationary variance.  A model filters its noise when it has AR or MA
+coefficients; such models discard a 1000-observation burn-in.  Every
+replication draws from its own counter-seeded stream, so batches are
+reproducible row by row.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +34,7 @@ _HETERO_PATTERN = np.array([1, 1, 1, 2, 3, 1, 1, 1, 1, 2, 4, 6], dtype=np.float6
 _GARCH_OMEGA = 0.001
 _GARCH_ALPHA = 0.02
 _GARCH_BETA = 0.8
+_GARCH_VAR = _GARCH_OMEGA / (1.0 - _GARCH_ALPHA - _GARCH_BETA)
 
 _ARCH_A = 0.5
 _ARCH_B = 0.3
@@ -40,12 +45,10 @@ _T5_UNIT_SCALE = math.sqrt(3.0 / 5.0)  # t(5) has variance 5/3
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parsed model: either a noise family or a linear filter of one."""
+    """Parsed model: a noise family, filtered when ar or ma is set."""
 
     name: str
-    kind: str  # "noise" or "linear"
-    noise: str = "normal"  # normal | t6 | t5u | lognorm | onedep | hetero |
-    #                        nonmds | garch | bilinear | archu
+    noise: str = "normal"  # a key of _NOISES
     ar: tuple[float, ...] = ()
     ma: tuple[float, ...] = ()
     scale: float = 1.0  # multiplies the innovation series before filtering
@@ -77,16 +80,16 @@ def parse_model(name: str) -> ModelSpec:
     bilinear}."""
     text = name.strip().lower()
     if text in _NOISE_NAMES:
-        return ModelSpec(text, "noise", noise=_NOISE_NAMES[text])
+        return ModelSpec(text, noise=_NOISE_NAMES[text])
     if text.startswith("m") and len(text) == 2 and text[1].isdigit():
         idx = int(text[1])
         if 1 <= idx <= 9:
             noise, scale = _M_INNOVATIONS[str((idx - 1) % 3 + 1)]
             if idx <= 3:
-                return ModelSpec(text, "linear", noise=noise, ar=(0.7,), scale=scale)
+                return ModelSpec(text, noise=noise, ar=(0.7,), scale=scale)
             if idx <= 6:
-                return ModelSpec(text, "linear", noise=noise, ma=(0.8,), scale=scale)
-            return ModelSpec(text, "linear", noise=noise, ar=(0.6, 0.35), scale=scale)
+                return ModelSpec(text, noise=noise, ma=(0.8,), scale=scale)
+            return ModelSpec(text, noise=noise, ar=(0.6, 0.35), scale=scale)
     if text.startswith("ar1:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -100,7 +103,7 @@ def parse_model(name: str) -> ModelSpec:
         innov = parts[2]
         if innov not in ("normal", "garch", "bilinear"):
             raise ValidationError("ar1 innovation must be normal, garch or bilinear")
-        return ModelSpec(text, "linear", noise=innov, ar=(rho,))
+        return ModelSpec(text, noise=innov, ar=(rho,))
     raise ValidationError(f"unknown model {name!r}")
 
 
@@ -122,7 +125,7 @@ def _garch_series(u: np.ndarray) -> np.ndarray:
     """GARCH(1,1) with (omega, alpha, beta) = (0.001, 0.02, 0.8), variance
     recursion started at its stationary value."""
     out = np.empty_like(u)
-    sig2 = np.full(u.shape[0], _GARCH_OMEGA / (1.0 - _GARCH_ALPHA - _GARCH_BETA))
+    sig2 = np.full(u.shape[0], _GARCH_VAR)
     for t in range(u.shape[1]):
         x = u[:, t] * np.sqrt(sig2)
         out[:, t] = x
@@ -142,46 +145,50 @@ def _bilinear_series(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_dependent(u: np.ndarray) -> np.ndarray:
+    return u[:, 1:] * u[:, :-1]
+
+
+_normal = np.random.Generator.standard_normal
+
+
+class _Noise(NamedTuple):
+    draw: Callable[[np.random.Generator, int], np.ndarray]  # one raw row of the given length
+    extra: int  # raw values per row beyond the noise length
+    transform: Optional[Callable[[np.ndarray], np.ndarray]]  # raw rows -> noise; None: the raw rows
+    variance: Optional[float]  # stationary variance; None: there is none
+
+
+_NOISES = {
+    "normal": _Noise(_normal, 0, None, 1.0),
+    "t6": _Noise(lambda g, size: g.standard_t(6, size=size), 0, None, 1.5),  # t(6) variance 6/4
+    "t5u": _Noise(lambda g, size: g.standard_t(5, size=size) * _T5_UNIT_SCALE, 0, None, 1.0),
+    "lognorm": _Noise(lambda g, size: np.exp(g.standard_normal(size)) - math.exp(0.5), 0, None,
+                      math.e * (math.e - 1.0)),
+    "onedep": _Noise(_normal, 1, _one_dependent, 1.0),
+    "hetero": _Noise(
+        _normal, 1, lambda u: np.resize(_HETERO_PATTERN, u.shape[1] - 1) * _one_dependent(u), None
+    ),
+    # u_t u_{t+1} (u_t + u_{t+2} + 1): E[u^2 (u + w + 1)^2] = 5 for independent standard normals
+    "nonmds": _Noise(_normal, 2, lambda u: u[:, :-2] * u[:, 1:-1] * (u[:, :-2] + u[:, 2:] + 1.0), 5.0),
+    "garch": _Noise(_normal, 0, _garch_series, _GARCH_VAR),
+    "bilinear": _Noise(_normal, 0, _bilinear_series, 4.0 / 3.0),
+    "archu": _Noise(_normal, 0, lambda u: _arch_series(u) / math.sqrt(_ARCH_VAR), 1.0),
+}
+
+
+def _family(noise: str) -> _Noise:
+    try:
+        return _NOISES[noise]
+    except KeyError:
+        raise ValidationError(f"unknown noise {noise!r}") from None
+
+
 def _noise_matrix(noise: str, cols: int, streams: Sequence[RngStream]) -> np.ndarray:
-    """Draw the (rows, cols) innovation matrix, one stream per row."""
-    draws = []
-    for s in streams:
-        g = s.generator()
-        if noise in ("normal", "garch", "bilinear", "archu", "onedep", "hetero", "nonmds"):
-            draws.append(g.standard_normal(_raw_cols(noise, cols)))
-        elif noise == "t6":
-            draws.append(g.standard_t(6, size=cols))
-        elif noise == "t5u":
-            draws.append(g.standard_t(5, size=cols) * _T5_UNIT_SCALE)
-        elif noise == "lognorm":
-            draws.append(np.exp(g.standard_normal(cols)) - math.exp(0.5))
-        else:
-            raise ValidationError(f"unknown noise {noise!r}")
-    u = np.vstack(draws)
-    if noise == "garch":
-        return _garch_series(u)
-    if noise == "bilinear":
-        return _bilinear_series(u)
-    if noise == "archu":
-        return _arch_series(u) / math.sqrt(_ARCH_VAR)
-    if noise == "onedep":
-        return u[:, 1:] * u[:, :-1]
-    if noise == "hetero":
-        reps = -(-cols // _HETERO_PATTERN.shape[0])
-        s = np.tile(_HETERO_PATTERN, reps)[:cols]
-        return s[None, :] * (u[:, 1:] * u[:, :-1])
-    if noise == "nonmds":
-        a, b, c = u[:, :-2], u[:, 1:-1], u[:, 2:]
-        return a * b * (a + c + 1.0)
-    return u
-
-
-def _raw_cols(noise: str, cols: int) -> int:
-    if noise in ("onedep", "hetero"):
-        return cols + 1
-    if noise == "nonmds":
-        return cols + 2
-    return cols
+    """Draw the (rows, cols) noise matrix, one stream per row."""
+    family = _family(noise)
+    u = np.vstack([family.draw(s.generator(), cols + family.extra) for s in streams])
+    return u if family.transform is None else family.transform(u)
 
 
 def generate_batch(model: ModelSpec | str, n: int, streams: Sequence[RngStream]) -> np.ndarray:
@@ -189,7 +196,7 @@ def generate_batch(model: ModelSpec | str, n: int, streams: Sequence[RngStream])
     spec = parse_model(model) if isinstance(model, str) else model
     if n < 2:
         raise ValidationError("need n >= 2")
-    if spec.kind == "noise":
+    if not (spec.ar or spec.ma):
         return _noise_matrix(spec.noise, n, streams)
     cols = n + BURN_IN
     e = _noise_matrix(spec.noise, cols, streams)
@@ -252,24 +259,6 @@ def generate(model: ModelSpec | str, n: int, rng: RngStream) -> np.ndarray:
 # Population values for coverage targets
 # ---------------------------------------------------------------------------
 
-_WHITE_VARIANCES = {
-    "normal": 1.0,
-    "t6": 1.5,  # t(6) variance 6/4
-    "t5u": 1.0,
-    "archu": 1.0,
-    "lognorm": math.e * (math.e - 1.0),
-    "onedep": 1.0,
-    "garch": _GARCH_OMEGA / (1.0 - _GARCH_ALPHA - _GARCH_BETA),
-    "bilinear": 4.0 / 3.0,
-}
-
-
-def _innovation_variance(spec: ModelSpec) -> float:
-    if spec.noise not in _WHITE_VARIANCES:
-        raise ValidationError(f"no closed-form variance for noise {spec.noise!r}")
-    return _WHITE_VARIANCES[spec.noise] * spec.scale * spec.scale
-
-
 def autocov_sequence(model: ModelSpec | str, kmax: int) -> np.ndarray:
     """Population autocovariances gamma(0..kmax).
 
@@ -278,26 +267,17 @@ def autocov_sequence(model: ModelSpec | str, kmax: int) -> np.ndarray:
     innovations to be white).
     """
     spec = parse_model(model) if isinstance(model, str) else model
-    if spec.kind == "noise":
-        if spec.noise == "hetero":
-            raise ValidationError("heteroscedastic noise has no stationary autocovariance")
-        var = _WHITE_VARIANCES.get(spec.noise)
-        if var is None:
-            if spec.noise == "nonmds":
-                var = 5.0  # E[u^2 (u + w + 1)^2] for independent standard normals
-            else:
-                raise ValidationError(f"no autocovariances for {spec.noise!r}")
-        g = np.zeros(kmax + 1)
-        g[0] = var
-        return g
-    s2 = _innovation_variance(spec)
-    if spec.ma and not spec.ar:
+    var = _family(spec.noise).variance
+    if var is None:
+        raise ValidationError(f"{spec.noise} noise has no stationary autocovariance")
+    s2 = var * spec.scale * spec.scale
+    if not spec.ar:  # white noise is an MA(0) filter of itself
         theta = np.concatenate(([1.0], np.asarray(spec.ma)))
         g = np.zeros(kmax + 1)
         for k in range(min(kmax, len(theta) - 1) + 1):
             g[k] = s2 * float(theta[k:] @ theta[: len(theta) - k])
         return g
-    if spec.ar and not spec.ma:
+    if not spec.ma:
         if len(spec.ar) == 1:
             a = spec.ar[0]
             g0 = s2 / (1.0 - a * a)
@@ -330,7 +310,7 @@ def true_value(model: ModelSpec | str, target: EstimatorSpec | str):
     if est.kind == "mean":
         return 0.0
     if est.kind == "median":
-        if spec.kind == "noise" and spec.noise == "lognorm":
+        if spec.noise == "lognorm" and not (spec.ar or spec.ma):
             return 1.0 - math.exp(0.5)  # median(exp Z) = 1, then demeaned
         return 0.0
     if est.kind == "ladar":

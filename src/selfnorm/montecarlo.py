@@ -289,7 +289,7 @@ def run_size(
 
 def _null_companion(model: str) -> str:
     spec = parse_model(model)
-    if spec.kind != "linear" or len(spec.ar) != 1 or spec.ma:
+    if len(spec.ar) != 1 or spec.ma:
         raise ValidationError(f"no uncorrelated companion for model {model!r}")
     return f"ar1:0:{spec.noise}"
 

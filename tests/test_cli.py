@@ -95,14 +95,17 @@ class TestCi:
         assert "requires --block" in r.stderr
 
     def test_bootstrap_flags_rejected_for_sn(self, m1_series):
-        r = run_cli(["ci", "--stat", "mean", "--method", "sn", "--seed", "3"],
-                    stdin=m1_series)
+        for flag, value in (("--seed", "3"), ("--block", "4"), ("--reps", "5")):
+            r = run_cli(["ci", "--stat", "mean", "--method", "sn", flag, value],
+                        stdin=m1_series)
+            assert r.returncode == 1
+            assert r.stderr.splitlines() == [
+                f"selfnorm: {flag} only applies to the mbb methods"]
+
+    def test_level_out_of_range(self, m1_series):
+        r = run_cli(["ci", "--stat", "mean", "--level", "1.5"], stdin=m1_series)
         assert r.returncode == 1
-        assert "only applies to the mbb methods" in r.stderr
-        r = run_cli(["ci", "--stat", "mean", "--method", "sn", "--block", "4"],
-                    stdin=m1_series)
-        assert r.returncode == 1
-        assert "only applies to the mbb methods" in r.stderr
+        assert r.stderr.splitlines() == ["selfnorm: level must be in (0, 1), got 1.5"]
 
     def test_constant_series_outcomes(self):
         r = run_cli(["ci", "--stat", "mean", "--method", "sn"], stdin=_CONST)
@@ -227,6 +230,14 @@ class TestNoncorr:
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["selfnorm: alpha 1e-07 rounds to 0 at six decimals"]
 
+    @pytest.mark.parametrize("method", ["sn", "lobato", "nw"])
+    def test_alpha_out_of_range(self, tmp_path, method):
+        # the wording critvals uses; checked before the series is read
+        r = run_cli(["test-noncorr", "--k", "1", "--method", method, "--alpha", "1.5",
+                     str(tmp_path / "missing.txt")])
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["selfnorm: alpha must be in (0, 1), got 1.5"]
+
     def test_nw_answers_at_any_alpha(self, tmp_path, m1_series):
         # nw reads no table, so its alpha is not rounded
         path = tmp_path / "x.txt"
@@ -308,6 +319,11 @@ class TestCritvals:
         assert r.returncode == 1
         assert r.stderr.splitlines() == [
             "selfnorm: alpha 1e-07 rounds to 0 at six decimals"]
+
+    def test_alpha_out_of_range(self):
+        r = run_cli(["critvals", "--q", "1", "--alpha", "1.5"])
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["selfnorm: alpha must be in (0, 1), got 1.5"]
 
     _TOY = ["critvals", "--q", "1", "--alpha", "0.2", "--grid", "150", "--reps", "1000"]
 

@@ -10,6 +10,7 @@ from selfnorm.core import RngStream, ValidationError
 from selfnorm.dgp import (
     BURN_IN,
     _HETERO_PATTERN,
+    ModelSpec,
     _ar_filter,
     autocov_sequence,
     generate,
@@ -27,7 +28,8 @@ def _streams(seed, count):
 class TestParsing:
     def test_noise_families(self):
         assert parse_model("iidn").noise == "normal"
-        assert parse_model("garch").kind == "noise"
+        garch = parse_model("garch")
+        assert garch.noise == "garch" and garch.ar == garch.ma == ()
         assert parse_model("BILINEAR").noise == "bilinear"
 
     def test_ar_and_ma_families(self):
@@ -50,6 +52,13 @@ class TestParsing:
     def test_rejects_malformed(self, name):
         with pytest.raises(ValidationError):
             parse_model(name)
+
+    def test_unknown_noise(self):
+        spec = ModelSpec("laplace", noise="laplace")
+        with pytest.raises(ValidationError, match="unknown noise"):
+            generate_batch(spec, 10, _streams(1, 2))
+        with pytest.raises(ValidationError, match="unknown noise"):
+            autocov_sequence(spec, 2)
 
 
 class TestDeterminism:
@@ -120,6 +129,7 @@ class TestMoments:
         lag1 = (x[:, 1:] * x[:, :-1]).mean()
         assert abs(lag1) < 0.01
         assert x.var() == pytest.approx(1.0, rel=0.05)
+        assert autocov_sequence("onedep", 0)[0] == 1.0
 
     def test_m1_sample_autocorrelation(self):
         x = generate("m1", 10_000, RngStream(33))
@@ -138,17 +148,32 @@ class TestMoments:
     def test_white_noise_variances(self, noise, var):
         x = generate_batch(noise, 400, _streams(34, 200))
         assert x.var() == pytest.approx(var, rel=0.25)
+        assert autocov_sequence(noise, 0)[0] == pytest.approx(var, rel=1e-12)
 
-    def test_m2_innovation_variance(self):
-        # unit-variance t(5) scaled to variance 0.6, then an AR(1) filter
-        target = 0.6 / (1 - 0.49)
-        x = generate_batch("m2", 400, _streams(35, 300))
-        assert x.var() == pytest.approx(target, rel=0.1)
+    # AR(1) gamma(0) = s2 / (1 - a^2); MA(1) s2 (1 + b^2); AR(2)
+    # s2 (1 - a2) / ((1 + a2) ((1 - a2)^2 - a1^2)); t5 and ARCH innovations
+    # have unit variance before the model's scale
+    @pytest.mark.parametrize("name,var", [
+        ("m1", 1 / 0.51), ("m2", 0.6 / 0.51), ("m3", 1 / 0.51),
+        ("m4", 1.64), ("m5", 0.6 * 1.64), ("m6", 1.64),
+        ("m7", 0.65 / (1.35 * 0.0625)), ("m8", 0.6 * 0.65 / (1.35 * 0.0625)),
+        ("m9", 0.65 / (1.35 * 0.0625)),
+        ("ar1:0.5:normal", 1 / 0.75), ("ar1:0.5:garch", 0.001 / 0.18 / 0.75),
+        ("ar1:0.5:bilinear", 4 / 3 / 0.75),
+    ])
+    def test_filtered_model_variances(self, name, var):
+        x = generate_batch(name, 400, _streams(35, 300))
+        assert x.var() == pytest.approx(var, rel=0.1)
+        assert autocov_sequence(name, 0)[0] == pytest.approx(var, rel=1e-12)
 
     def test_everything_finite(self):
-        for name in ("garch", "bilinear", "m3", "m6", "m9", "ar1:0.8:bilinear"):
+        # every model name: the eight noise families, m1-m9, ar1 with each innovation
+        names = ("iidn", "t6", "lognorm", "onedep", "hetero", "nonmds", "garch", "bilinear",
+                 *(f"m{i}" for i in range(1, 10)),
+                 "ar1:0.5:normal", "ar1:0.5:garch", "ar1:0.5:bilinear", "ar1:0.8:bilinear")
+        for name in names:
             x = generate_batch(name, 200, _streams(36, 50))
-            assert np.isfinite(x).all()
+            assert x.shape == (50, 200) and np.isfinite(x).all(), name
 
 
 class TestAutocovSequence:
