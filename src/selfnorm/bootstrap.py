@@ -39,6 +39,7 @@ from .core import (
     as_series,
     normal_quantile,
 )
+from .critvals import check_probability
 from .estimators import EstimatorSpec, batch_prefix_values, prefix_estimates
 from .inference import (
     Ellipsoid,
@@ -69,8 +70,7 @@ class MbbConfig:
             raise ValidationError("block length must be >= 1")
         if self.replications < 2:
             raise ValidationError("need at least 2 bootstrap replications")
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError("level must be in (0, 1)")
+        check_probability(self.level, "level")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 

@@ -2,9 +2,11 @@
 
 The pivot converges to U_q = B_q(1)' V_q^{-1} B_q(1) where B_q is a
 q-dimensional standard Brownian motion and V_q integrates the outer product
-of its bridge.  No closed form exists, so quantiles are simulated from
-discretized Brownian paths and cached as JSON.  The tables for q = 1..6 at
-the default grid, seed, replications and alphas ship with the package in
+of its bridge.  No closed form exists, so quantiles are simulated, each draw
+the statistic itself on Gaussian data: the wn_batch pivot of Gaussian
+running means, whose Gram uses no BLAS, so a table has the same bytes on
+every CPU.  Tables are cached as JSON; those for q = 1..6 at the default
+grid, seed, replications and alphas ship with the package in
 ``critvals_default.json``, written by ``selfnorm critvals`` itself, so the
 default path simulates nothing.  Nothing here is hand-entered: deleting a
 cache and regenerating reproduces identical bytes for the same
@@ -30,7 +32,9 @@ try:
 except ImportError:  # no advisory locks: concurrent stores may still race
     fcntl = None
 
-from .core import NumericalError, RngStream, ValidationError, quadform_batch
+from .core import NumericalError, RngStream, ValidationError
+from .core import quadform_batch  # noqa: F401  (bound by name in bench/spans.py)
+from .inference import wn_batch
 
 DEFAULT_GRID = 1000
 DEFAULT_SEED = 7654321
@@ -98,21 +102,14 @@ def table_alpha(alpha: float) -> float:
 
 
 def u_stat_from_increments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U statistics for standard-normal increment arrays of shape (m, q, grid).
-
-    The walk value at point i/grid is grid^{-1/2} * (z_1 + ... + z_i); the
-    bridge subtracts r * (endpoint); V integrates the bridge outer product by
-    a left Riemann sum (the bridge vanishes at both endpoints, so including
-    or excluding them is identical).  Exposed for the scale-invariance test:
-    multiplying z by any c > 0 leaves U unchanged.
+    """(U, ok) for standard-normal increment arrays of shape (m, q, grid): the
+    statistic itself on Gaussian data, the wn_batch pivot (theta0 = 0) of the
+    running means.  Exposed for the scale-invariance test: multiplying z by
+    any c > 0 leaves U unchanged.
     """
-    m, q, grid = z.shape
-    walk = np.cumsum(z, axis=2) / np.sqrt(grid)
-    endpoint = walk[:, :, -1]
-    r = np.arange(1, grid + 1, dtype=np.float64) / grid
-    bridge = walk - endpoint[:, :, None] * r
-    v = np.einsum("mqg,mpg->mqp", bridge, bridge) / grid
-    return quadform_batch(v, endpoint)
+    grid = z.shape[2]
+    means = np.cumsum(z, axis=2) / np.arange(1, grid + 1)
+    return wn_batch(means.transpose(0, 2, 1), 1, grid)[1:]
 
 
 def _simulate_chunk(stream: RngStream, rows: int, q: int, grid: int) -> tuple[np.ndarray, np.ndarray]:

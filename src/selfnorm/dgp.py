@@ -26,7 +26,7 @@ from .core import RngStream, ValidationError
 from .estimators import EstimatorSpec, fourier_coeffs
 
 BURN_IN = 1000
-_BLOCK = 32  # steps of the AR scan filtered by one matmul
+_BLOCK = 32  # steps of the AR scan filtered by one product
 
 # periodic scale pattern for the heteroscedastic white noise
 _HETERO_PATTERN = np.array([1, 1, 1, 2, 3, 1, 1, 1, 1, 2, 4, 6], dtype=np.float64)
@@ -214,22 +214,29 @@ def generate_batch(model: ModelSpec | str, n: int, streams: Sequence[RngStream])
     return x[:, -n:]
 
 
+def _dot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a (..., j) times m (k, j)', in numpy's loops: BLAS sums vary by CPU."""
+    return np.einsum("...j,kj->...k", a, m)
+
+
 @functools.lru_cache(maxsize=None)
 def _ar_block_maps(ar: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(T, G) with one block of the AR recursion x_t = e_t + sum_i ar[i]
-    x_{t-1-i} = inputs @ T + state @ G: T is the Toeplitz matrix of the
-    impulse response, state the p outputs before the block, oldest first."""
+    x_{t-1-i} = _dot(inputs, T) + _dot(state, G): T the impulse response's
+    Toeplitz matrix, state the p outputs before the block, oldest first."""
     p = len(ar)
     # rows: the response to each of the p state values, then to a unit impulse
     y = np.zeros((p + 1, p + _BLOCK))
     y[:, :p] = np.eye(p + 1, p)
     y[p, p] = 1.0
     for t in range(p, p + _BLOCK):
-        y[:, t] += y[:, t - p:t] @ np.asarray(ar[::-1])
+        for i, a in enumerate(ar):
+            y[:, t] += a * y[:, t - 1 - i]
     lag = np.arange(_BLOCK)
-    toeplitz = np.triu(y[p, p:][np.abs(lag[None, :] - lag[:, None])])
-    toeplitz.flags.writeable = y.flags.writeable = False  # shared by the cache
-    return toeplitz, y[:p, p:]
+    toeplitz = np.tril(y[p, p:][np.abs(lag[:, None] - lag)])
+    g = y[:p, p:].T.copy()
+    toeplitz.flags.writeable = g.flags.writeable = False  # shared by the cache
+    return toeplitz, g
 
 
 def _ar_filter(e: np.ndarray, ar: tuple[float, ...], n: int) -> np.ndarray:
@@ -240,13 +247,13 @@ def _ar_filter(e: np.ndarray, ar: tuple[float, ...], n: int) -> np.ndarray:
     rows, p, kept = e.shape[0], len(ar), -(-n // _BLOCK)
     burn = e.shape[1] - kept * _BLOCK
     lead = burn % _BLOCK  # a short first block, zero-padded on the left
-    out = (e[:, burn:].reshape(-1, _BLOCK) @ t_map).reshape(rows, kept, _BLOCK)
-    burn_tails = (e[:, lead:burn].reshape(-1, _BLOCK) @ t_map[:, -p:]).reshape(rows, -1, p)
+    out = _dot(e[:, burn:].reshape(rows, kept, _BLOCK), t_map)
+    burn_tails = _dot(e[:, lead:burn].reshape(rows, -1, _BLOCK), t_map[-p:])
     tails = np.concatenate([burn_tails, out[:, :-1, -p:]], axis=1)
-    states = [e[:, :lead] @ t_map[_BLOCK - lead:, -p:]]
+    states = [_dot(e[:, :lead], t_map[-p:, _BLOCK - lead:])]
     for b in range(tails.shape[1]):
-        states.append(tails[:, b] + states[-1] @ g_map[:, -p:])
-    out += np.stack(states[-kept:], axis=1) @ g_map
+        states.append(tails[:, b] + _dot(states[-1], g_map[-p:]))
+    out += _dot(np.stack(states[-kept:], axis=1), g_map)
     return out.reshape(rows, -1)[:, -n:]
 
 

@@ -75,10 +75,8 @@ def _parse_angle(token: str) -> float:
 
 
 def _format_angle(x: float) -> str:
-    for name, val in _PI_TOKENS.items():
-        if abs(x - val) < 1e-12:
-            return name
-    return repr(x)
+    """A pi token only for the float it parses to, so the text round-trips."""
+    return next((name for name, val in _PI_TOKENS.items() if x == val), repr(x))
 
 
 @dataclass(frozen=True)

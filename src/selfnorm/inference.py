@@ -25,12 +25,11 @@ from .core import (
 
 
 def _gram_quadform(dev: np.ndarray, center: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """(W, n center' W^{-1} center, ok) with W = n^{-2} dev' dev per row of
-    the weighted deviations dev (B, rows, q); ok is False where W is not
+    """(W, n center' W^{-1} center, ok) with W = n^{-2} dev dev' per row of
+    the weighted deviations dev (B, q, rows); ok is False where W is not
     positive definite, and the pivot is NaN there."""
-    # numpy runs dev' dev as BLAS syrk per row: exactly symmetric, faster than
-    # einsum's loop over q, and closer to an extended-precision Gram
-    w = np.matmul(dev.swapaxes(1, 2), dev) / (float(n) * float(n))
+    # numpy's own loops, not BLAS: the same sums on every CPU, W exactly symmetric
+    w = np.einsum("bim,bjm->bij", dev, dev) / (float(n) * float(n))
     quad, ok = quadform_batch(w, center)
     return w, n * quad, ok
 
@@ -47,8 +46,8 @@ def wn_batch(values: np.ndarray, first_valid: int, n_eff: int, theta0=0.0) -> tu
     """
     values = np.asarray(values, dtype=np.float64)
     t = np.arange(first_valid, n_eff + 1, dtype=np.float64)
-    dev = values - values[:, -1:, :]
-    dev *= t[:, None]
+    dev = np.subtract(values.transpose(0, 2, 1), values[:, -1, :, None], order="C")
+    dev *= t
     return _gram_quadform(dev, values[:, -1, :] - theta0, n_eff)
 
 

@@ -36,6 +36,7 @@ from .core import (
     quadform_spd,
     solve_residual_batch,
 )
+from .critvals import check_probability
 from .estimators import EstimatorSpec, _lag_sums
 from .inference import Interval, _gram_quadform, wn_batch
 
@@ -90,14 +91,15 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     b, n = x.shape
     check_k(n, k)
     ts, sums = _lag_sums(x, list(range(1, k + 1)), k + 2)
-    # (B, S, k) in C order: the BLAS Gram of a strided stack sums in another order
-    c = np.stack([s / ts[:, None] for s in sums], axis=2).transpose(1, 0, 2).copy()
+    c = np.empty((b, k, ts.size))  # (B, k, S), the layout of wn_batch's deviations
+    for j, s in enumerate(sums):
+        c[:, j] = (s / ts[:, None]).T
     # the statistic does not change with the scale of c; fixing it keeps W,
     # which grows as the fourth power of the data's scale, within range
     size = np.abs(c).max(axis=(1, 2), keepdims=True)
-    c = c / np.where(size > 0.0, size, 1.0)
+    c /= np.where(size > 0.0, size, 1.0)
     # prefix s carries weight s - k = 2..N
-    return wn_batch(c, 2, n - k)[1:]
+    return wn_batch(c.transpose(0, 2, 1), 2, n - k)[1:]
 
 
 def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +118,9 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     _, e = np.frexp(np.abs(xc).max(axis=1, keepdims=True))
     xc = np.ldexp(xc, -e)
     c_full = _full_autocov(xc, range(1, k + 1))  # (B, k)
-    z = np.stack(
-        [xc[:, :big_n] * xc[:, j : j + big_n] for j in range(1, k + 1)], axis=2
-    )  # (B, N, k)
+    z = np.stack([xc[:, :big_n] * xc[:, j : j + big_n] for j in range(1, k + 1)], axis=1)
     # S_t = t (mean of z_1..z_t - c_full): deviations already weighted by t
-    return _gram_quadform(np.cumsum(z - c_full[:, None, :], axis=1), c_full, big_n)[1:]
+    return _gram_quadform(np.cumsum(z - c_full[:, :, None], axis=2), c_full, big_n)[1:]
 
 
 def sn_noncorr_stat(ts: SeriesLike, k: int) -> float:
@@ -322,8 +322,7 @@ def efficient_ci(
 ) -> EfficientCiResult:
     """Normal-approximation interval for acov:1 or acf:1 studentized by a
     kernel long-run variance: the comparator to the self-normalized interval."""
-    if not 0.0 < level < 1.0:
-        raise ValidationError("level must be in (0, 1)")
+    check_probability(level, "level")
     name = _efficient_target(target)
     s = as_series(ts)
     est, var, bw, ok = (a[0] for a in efficient_variance_batch(s.values[None, :], name))

@@ -181,7 +181,7 @@ class TestSchemes:
             MbbConfig(block_length=0)
         with pytest.raises(ValidationError):
             MbbConfig(block_length=2, replications=1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^level must be in \(0, 1\), got 1.5$"):
             MbbConfig(block_length=2, level=1.5)
         with pytest.raises(ValidationError):
             MbbConfig(block_length=2, seed=-3)

@@ -27,7 +27,6 @@ from selfnorm.critvals import (
     table_to_json,
     u_stat_from_increments,
 )
-from selfnorm.inference import wn_batch
 
 SHIPPED = importlib.resources.files("selfnorm") / "critvals_default.json"
 TOY_KEYS = {f"q={q}|grid=150|reps=3000|seed=9" for q in (1, 2)}
@@ -61,17 +60,22 @@ class TestUStatistic:
         assert ok.all()
         assert (u > 0).all()
 
-    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("q", [1, 3, 6])
     def test_is_the_sn_pivot_of_the_running_means(self, rng, q):
-        # U_q is the self-normalized pivot of the mean (theta0 = 0) on the
-        # increments: the tables are the limit law of the statistic
+        # u_stat_from_increments forms U_q as the self-normalized pivot of the
+        # mean (theta0 = 0); the reference forms the limit statistic itself on
+        # the discretized Brownian motion: B(1)' V^{-1} B(1), V the left
+        # Riemann sum of the bridge outer product
         grid = 1000
         z = rng.standard_normal((40, q, grid))
         u, ok = u_stat_from_increments(z)
-        means = np.cumsum(z, axis=2) / np.arange(1, grid + 1)
-        _, pivot, ok_sn = wn_batch(np.swapaxes(means, 1, 2), 1, grid)
-        assert ok.all() and ok_sn.all()
-        np.testing.assert_allclose(pivot, u, rtol=1e-12)
+        walk = np.cumsum(z, axis=2) / np.sqrt(grid)
+        endpoint = walk[:, :, -1]
+        bridge = walk - endpoint[:, :, None] * (np.arange(1, grid + 1) / grid)
+        v = np.einsum("mqg,mpg->mqp", bridge, bridge) / grid
+        ref = np.einsum("mq,mq->m", endpoint, np.linalg.solve(v, endpoint[:, :, None])[..., 0])
+        assert ok.all()
+        np.testing.assert_allclose(u, ref, rtol=1e-12)
 
 
 class TestSimulation:

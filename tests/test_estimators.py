@@ -51,6 +51,18 @@ class TestSpecParsing:
     def test_canonical_forms(self, text, canonical):
         assert EstimatorSpec.parse(text).canonical() == canonical
 
+    @pytest.mark.parametrize("x", [
+        "pi", "pi/2", "pi/4", "3pi/4", repr(math.pi - 1e-13),
+        *(repr(v + d) for v in (math.pi / 2, math.pi / 4, 3 * math.pi / 4) for d in (-1e-13, 1e-13)),
+        "0.7853981633974", "0.0", "0.1", "2.5",
+    ])
+    def test_canonical_form_parses_to_the_same_spec(self, x):
+        # a pi token names exactly the float it parses to, so a cutoff 1e-13
+        # from pi/4 keeps its digits and the echoed command reruns that cutoff
+        spec = EstimatorSpec.parse(f"specratio:{x}")
+        assert spec.canonical() == f"specratio:{x}"
+        assert EstimatorSpec.parse(spec.canonical()) == spec
+
     @pytest.mark.parametrize("text", [
         "mean:1", "acov", "acov:x", "specmean", "specmean:4.0",
         "ladar:0", "ladar", "unknown", "acf:-1",

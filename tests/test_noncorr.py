@@ -274,7 +274,7 @@ class TestEfficientCi:
                 efficient_ci(x, target)
         with pytest.raises(ValidationError, match="no efficient interval"):
             efficient_variance_batch(x[None, :], "specmean:pi/2")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^level must be in \(0, 1\), got 1.0$"):
             efficient_ci(x, "acf:1", level=1.0)
 
 
