@@ -6,8 +6,11 @@ the bootstrapped self-normalized interval, which replaces the simulated limit
 quantile by the bootstrap quantile of the resampled pivot.  Resamples draw
 ceil(n/l) blocks of length l uniformly, rows of the series' sliding-window
 view, and truncate the concatenation to n, so a fractional last block is used
-when l does not divide n.  Every estimator, ladar included, is evaluated on
-all resamples at once by batch_prefix_values.
+when l does not divide n.  Every estimator, ladar included, is evaluated by
+batch_prefix_values on row blocks of resamples, each block reduced at once to
+the final estimates and, for the self-normalized scheme, the pivots; peak
+memory depends on n and not on the replication count.  The blocks draw from
+one generator in row order, so the outputs do not depend on the block size.
 
 Scheme statistics (root quantiles, root variance, pivot quantile) take one
 resample set per row.  The public schemes are batches of one; a Monte Carlo
@@ -18,7 +21,7 @@ prefix variance, a failed fit) or whose trajectory overflows is redrawn up
 to MAX_RETRIES times and then dropped.  The self-normalized scheme also
 drops resamples whose normalizer W* is not positive definite, without
 redrawing them.  More than MAX_BAD_FRAC of the replications dropped, for
-either reason, raises TooManyDegenerateResamplesError.
+either reason, raises TooManyDegenerateResamplesError, which gives both counts.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .core import (
     TooManyDegenerateResamplesError,
     ValidationError,
     as_series,
+    keep_heap,
     normal_quantile,
 )
 from .critvals import check_probability
@@ -54,6 +58,10 @@ from .inference import (
 
 MAX_RETRIES = 5  # redraws of a resample with an undefined estimate
 MAX_BAD_FRAC = 0.05  # largest share of replications that may be dropped
+BLOCK_VALUES = 1 << 17  # prefix values (resamples x series length) one row block holds
+# the least rows of a block: the median kernel loops over time in Python, so
+# fewer rows per block would multiply its per-step cost
+MIN_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -141,48 +149,59 @@ def mbb_resample(ts: SeriesLike, block_length: int, rng: Union[RngStream, np.ran
 # Resampling engine
 # ---------------------------------------------------------------------------
 
-def _check_bad(bad: int, cfg: MbbConfig) -> None:
-    if bad > MAX_BAD_FRAC * cfg.replications:
-        raise TooManyDegenerateResamplesError(bad, cfg.replications)
+def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> tuple:
+    """Final estimates (kept, dim) of cfg.replications resamples of x and,
+    when est is given, their pivots n (est* - est)' W*^{-1} (est* - est);
+    None otherwise.
 
-
-def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig) -> tuple[np.ndarray, int]:
-    """Prefix trajectories (kept, rows, dim) of cfg.replications resamples
-    of x, and the dropped count.
-
-    Resamples that batch_prefix_values marks not ok are redrawn up to
-    MAX_RETRIES times, then dropped.
+    Resamples are evaluated in row blocks of max(MIN_BLOCK_ROWS,
+    BLOCK_VALUES // n) rows, each reduced at once to its finals and pivots, so
+    memory does not grow with the replication count.  The blocks draw from one
+    generator in row order, which gives the values of a single draw.
+    Resamples that batch_prefix_values marks not ok are redrawn after the
+    whole first pass, up to MAX_RETRIES times, then dropped.  Resamples whose
+    W* is not positive definite are dropped without a redraw and have no
+    pivot; their finals are kept.  Both kinds count toward MAX_BAD_FRAC.
     """
     n = x.shape[0]
     if cfg.block_length > n:
         raise BlockTooLongError(cfg.block_length, n)
+    keep_heap()  # the blocks' freed temporaries would otherwise be faulted in again
     gen = RngStream(cfg.seed).child("mbb", cfg.block_length).generator()
+    reps, step = cfg.replications, max(MIN_BLOCK_ROWS, BLOCK_VALUES // n)
+    finals = np.empty((reps, spec.dim))
+    ok, good = np.empty(reps, dtype=bool), np.empty(reps, dtype=bool)
+    pivots = None if est is None else np.empty(reps)
 
-    def evaluate(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        vals, _, ok = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
+    def evaluate(where, rows: int) -> None:
+        """Draw rows resamples into the output slots where (a slice or indices)."""
+        vals, _, fine = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
         if not np.isfinite(vals).all():  # one flat test; the per-row one costs more
-            ok = ok & np.isfinite(vals).all(axis=(1, 2))
-        return vals, ok
+            fine = fine & np.isfinite(vals).all(axis=(1, 2))
+        finals[where], ok[where] = vals[:, -1], fine
+        if pivots is None:
+            return
+        if fine.all():
+            _, pivots[where], good[where] = wn_scalar_batch(vals, spec.first_valid(), n, est)
+        else:
+            slots = np.arange(reps)[where][fine]
+            _, pivots[slots], good[slots] = wn_scalar_batch(vals[fine], spec.first_valid(), n, est)
 
-    vals, ok = evaluate(cfg.replications)
+    for start in range(0, reps, step):
+        evaluate(slice(start, start + step), min(step, reps - start))
     for _ in range(MAX_RETRIES):
         bad = np.flatnonzero(~ok)
         if bad.size == 0:
             break
-        vals[bad], ok[bad] = evaluate(bad.size)
-    dropped = cfg.replications - int(np.count_nonzero(ok))
-    _check_bad(dropped, cfg)
-    return (vals[ok] if dropped else vals), dropped
-
-
-def _pivots(vals: np.ndarray, est, n: int, spec: EstimatorSpec, cfg: MbbConfig, dropped: int) -> np.ndarray:
-    """Resampled pivots n (est* - est)' W*^{-1} (est* - est).  Resamples whose
-    W* is not positive definite are left out and count with the dropped ones
-    toward MAX_BAD_FRAC."""
-    _, pivots, good = wn_scalar_batch(vals, spec.first_valid(), n, est)
-    singular = vals.shape[0] - int(np.count_nonzero(good))
-    _check_bad(dropped + singular, cfg)
-    return pivots[good] if singular else pivots
+        for start in range(0, bad.size, step):
+            evaluate(bad[start:start + step], min(step, bad.size - start))
+    undefined = reps - int(np.count_nonzero(ok))
+    singular = 0 if pivots is None else int(np.count_nonzero(ok & ~good))
+    if undefined + singular > MAX_BAD_FRAC * reps:
+        raise TooManyDegenerateResamplesError(undefined, singular, reps, MAX_RETRIES)
+    if pivots is not None and undefined + singular:
+        pivots = pivots[ok & good]
+    return (finals[ok] if undefined else finals), pivots
 
 
 def _percentile_bounds(root: np.ndarray, est, n: int, level: float) -> np.ndarray:
@@ -219,7 +238,7 @@ def _scalar_root(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig, scheme: st
     if spec.dim != 1:
         raise ValidationError(f"{scheme} scheme handles scalar estimators only")
     est = float(prefix_estimates(spec, s).final[0])
-    finals = _resample(s.values, spec, cfg)[0][:, -1, 0]
+    finals = _resample(s.values, spec, cfg)[0][:, 0]
     return s, est, math.sqrt(s.n) * (finals - est)[None]
 
 
@@ -270,8 +289,7 @@ def mbb_sn_ci(ts: SeriesLike, spec: EstimatorSpec, cfg: MbbConfig) -> MbbResult:
     """
     s = as_series(ts)
     seq = prefix_estimates(spec, s)
-    vals, dropped = _resample(s.values, spec, cfg)
-    pivots = _pivots(vals, seq.final, s.n, spec, cfg, dropped)
+    pivots = _resample(s.values, spec, cfg, seq.final)[1]
     ustar = float(np.quantile(pivots, cfg.level))
     build = sn_interval if spec.dim == 1 else sn_region
     region = build(seq, ustar, cfg.level, estimator=spec.canonical()).region
@@ -292,9 +310,8 @@ def bootstrap_suite(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est: flo
     sets per block length would triple the cost without changing any
     contract.
     """
-    n = x.shape[0]
-    vals, dropped = _resample(x, spec, cfg)
-    return math.sqrt(n) * (vals[:, -1, 0] - est), _pivots(vals, est, n, spec, cfg, dropped)
+    finals, pivots = _resample(x, spec, cfg, est)
+    return math.sqrt(x.shape[0]) * (finals[:, 0] - est), pivots
 
 
 def suite_intervals(roots: list, pivots: list, est: float, w: float, n: int, level: float) -> dict:

@@ -29,6 +29,7 @@ from .core import (
     RngStream,
     ValidationError,
     chi2_quantile,
+    keep_heap,
     normal_quantile,
     stream_index_for,
 )
@@ -54,15 +55,6 @@ from .noncorr import (
 
 _CHUNK_REPS = 200  # fixed chunk size keeps chunk boundaries worker-independent
 
-# glibc's dynamic mmap and trim thresholds return each freed ~400 KB kernel
-# temporary to the OS, so the next call of that shape faults its pages back in
-# zeroed: a warm mc_bootstrap round took 280k minor faults and 0.42 s of system
-# time in 2.5 s.  Fixed thresholds keep freed temporaries in the heap: 32 MiB is
-# glibc's largest mmap threshold (64-bit), and at most 64 MiB of freed heap stays
-# resident.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameter numbers
-_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
-_heap_kept = False
 
 
 @dataclass(frozen=True)
@@ -129,24 +121,8 @@ def _chunk_bounds(reps: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_REPS, reps)) for lo in range(0, reps, _CHUNK_REPS)]
 
 
-def _keep_heap() -> None:
-    """Set the malloc thresholds above once per process, on glibc only."""
-    global _heap_kept
-    if _heap_kept:
-        return
-    _heap_kept = True
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):  # not glibc
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
 def _run_chunks(fn, reps: int, workers: int) -> dict:
-    _keep_heap()
+    keep_heap()
     bounds = _chunk_bounds(reps)
     if workers <= 1 or len(bounds) == 1:
         parts = [fn(lo, hi) for lo, hi in bounds]
@@ -155,7 +131,7 @@ def _run_chunks(fn, reps: int, workers: int) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         los, his = zip(*bounds)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap) as pool:
             parts = list(pool.map(fn, los, his))
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 

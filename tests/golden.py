@@ -56,6 +56,9 @@ def requests() -> dict[str, list[str]]:
                             "ci --stat ladar:2 --method sn {m7}"]
     files["ci_mbb.json"] = [f"ci --stat {s} --method {method} {_MBB} {{m1}}"
                             for s in _SCALARS for method in ("mbb-pct", "mbb-normal", "mbb-sn")]
+    # 1000 resamples at n = 600 run in several row blocks of the bootstrap engine
+    files["ci_mbb_blocks.json"] = [f"ci --stat {s} --method mbb-sn --block 10 --reps 1000 --seed 1 {{m1}}"
+                                   for s in ("acf:1", "median", "specratio:pi/2")]
     files["ci_mbb_ladar.json"] = [
         "ci --stat ladar:1 --method mbb-sn --block 5 --reps 20 --seed 1 {m1}",
         "ci --stat ladar:2 --method mbb-sn --block 5 --reps 20 --seed 1 {m7}"]

@@ -1,8 +1,11 @@
 """Moving-block bootstrap: block assembly, scheme contracts, determinism."""
 
+import ctypes
 import json
 import math
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from selfnorm.critvals import get_quantile
 from selfnorm.dgp import generate_batch, true_value
 from selfnorm.estimators import EstimatorSpec, prefix_estimates
 from selfnorm.inference import wn_matrix
-from selfnorm import bootstrap, estimators
+from selfnorm import bootstrap, core, estimators
 from selfnorm.montecarlo import run_block_sweep
 from selfnorm.bootstrap import (
     MbbConfig,
@@ -347,3 +350,92 @@ class TestRaggedReplication:
             with pytest.raises(TooManyDegenerateResamplesError):
                 builder(x, _MEAN, self._cfg(4))
             builder(x, _MEAN, self._cfg(5))
+
+
+class TestRowBlocks:
+    """The engine's row blocks change no bit: 200 resamples run in blocks of
+    7 rows give exactly the outputs of the default run, which is one block."""
+
+    REPS = 200
+    STATS = ("mean", "median", "acov:1", "acf:1", "specmean:pi/2", "specratio:pi/2")
+    # an integer series on which some acf:1 resamples stay undefined after
+    # their redraws and some have a singular W*, fewer than MAX_BAD_FRAC in all
+    TIES = np.array([-1.0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0])
+    TIES_CFG = MbbConfig(block_length=2, replications=200, seed=10)
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        """run() with the default blocks, then in blocks of 7 rows."""
+        default = run()
+        monkeypatch.setattr(bootstrap, "BLOCK_VALUES", 0)
+        monkeypatch.setattr(bootstrap, "MIN_BLOCK_ROWS", 7)
+        return default, run()
+
+    def _series(self, n=80):
+        return generate_batch("ar1:0.5:normal", n, [RngStream(31)])[0]
+
+    @pytest.mark.parametrize("stat", STATS)
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    def test_schemes(self, monkeypatch, stat, scheme):
+        x, spec = self._series(), EstimatorSpec.parse(stat)
+        cfg = MbbConfig(block_length=4, replications=self.REPS, seed=3)
+        assert bootstrap.BLOCK_VALUES // x.size >= self.REPS  # one default block
+        default, blocked = self._both(monkeypatch, lambda: _SCHEMES[scheme](x, spec, cfg).to_dict())
+        assert blocked == default
+
+    def test_suite(self, monkeypatch):
+        x = self._series()
+        cfg = MbbConfig(block_length=4, replications=self.REPS, seed=3)
+        est = float(prefix_estimates(_MEAN, x).final[0])
+        default, blocked = self._both(monkeypatch, lambda: bootstrap_suite(x, _MEAN, cfg, est))
+        for a, b in zip(default, blocked):
+            assert a.tobytes() == b.tobytes()
+
+    def test_ladar_sn(self, monkeypatch):
+        x, spec = self._series(40), EstimatorSpec.parse("ladar:1")
+        cfg = MbbConfig(block_length=4, replications=self.REPS, seed=3)
+        default, blocked = self._both(monkeypatch, lambda: mbb_sn_ci(x, spec, cfg).to_dict())
+        assert blocked == default
+
+    def test_redrawn_and_singular_resamples(self, monkeypatch):
+        spec, x = EstimatorSpec.parse("acf:1"), self.TIES
+        est = float(prefix_estimates(spec, x).final[0])
+
+        def run():
+            root, pivots = bootstrap_suite(x, spec, self.TIES_CFG, est)
+            scheme = {name: build(x, spec, self.TIES_CFG).to_dict() for name, build in _SCHEMES.items()}
+            return root.tobytes(), pivots.tobytes(), root.size, pivots.size, scheme
+
+        default, blocked = self._both(monkeypatch, run)
+        assert blocked == default
+        kept, pivoted = default[2:4]
+        assert pivoted < kept < self.REPS  # some dropped undefined, some singular
+        assert self.REPS - pivoted <= bootstrap.MAX_BAD_FRAC * self.REPS
+
+
+class TestMemory:
+    """Peak memory of a bootstrap interval does not grow with the number of
+    resamples: row blocks hold a bounded number of prefix values."""
+
+    @pytest.mark.parametrize("stat,build", [("acf:1", mbb_percentile_ci), ("mean", mbb_sn_ci)])
+    def test_peak_is_flat_in_replications(self, stat, build):
+        x = RngStream(32).generator().standard_normal(3000)
+        spec = EstimatorSpec.parse(stat)
+        peaks = []
+        for reps in (300, 2400):
+            tracemalloc.start()
+            try:
+                build(x, spec, MbbConfig(block_length=10, replications=reps, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_engine_keeps_freed_blocks_in_the_heap(self, monkeypatch):
+        # without the fixed malloc thresholds each block faults its freed
+        # temporaries back in, which made blocked requests slower
+        calls = []
+        monkeypatch.setattr(core, "_heap_kept", False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+        mbb_percentile_ci(np.arange(30.0), _MEAN, MbbConfig(block_length=3, replications=20, seed=1))
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]

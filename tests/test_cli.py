@@ -122,7 +122,20 @@ class TestCi:
                      "--block", "4", "--seed", "1", "--reps", "100"],
                     stdin=_CONST)
         assert r.returncode == 2
-        assert "stayed degenerate" in r.stderr
+        assert r.stderr.splitlines() == [
+            "selfnorm: numerical failure: 100 of 100 bootstrap resamples dropped: "
+            "0 undefined after 5 redraws, 100 with a singular W*"]
+
+    def test_undefined_resamples_named_as_such(self):
+        # most block-1 resamples of a series of zeros after 1, -1 begin with a
+        # constant stretch, so their acf:1 stays undefined after the redraws
+        sparse = "1\n-1\n" + "0\n" * 30
+        r = run_cli(["ci", "--stat", "acf:1", "--method", "mbb-pct",
+                     "--block", "1", "--seed", "1", "--reps", "50"], stdin=sparse)
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            "selfnorm: numerical failure: 14 of 50 bootstrap resamples dropped: "
+            "14 undefined after 5 redraws, 0 with a singular W*"]
 
     def test_mbb_contract(self, m1_series):
         r = run_cli(["ci", "--stat", "mean", "--method", "mbb-sn",

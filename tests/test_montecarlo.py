@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfnorm import montecarlo
+from selfnorm import core, montecarlo
 from selfnorm.core import ValidationError
 from selfnorm.montecarlo import (
     CSV_COLUMNS,
@@ -177,10 +177,10 @@ class TestKeepHeap:
     def test_sets_both_thresholds_once(self, monkeypatch):
         lib = _FakeLibc()
         monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
-        monkeypatch.setattr(montecarlo, "_heap_kept", False)
-        montecarlo._keep_heap()
+        monkeypatch.setattr(core, "_heap_kept", False)
+        core.keep_heap()
         assert lib.calls == [(-3, 32 << 20), (-1, 64 << 20)]
-        montecarlo._keep_heap()
+        core.keep_heap()
         assert len(lib.calls) == 2
 
     @pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
@@ -194,9 +194,9 @@ class TestKeepHeap:
             return object()  # a library with no mallopt symbol
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        monkeypatch.setattr(montecarlo, "_heap_kept", False)
+        monkeypatch.setattr(core, "_heap_kept", False)
         assert [_row_key(r) for r in run_coverage(**kwargs)] == expected
-        assert montecarlo._heap_kept
+        assert core._heap_kept
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the malloc thresholds are set on glibc only")
