@@ -8,9 +8,11 @@ ceil(n/l) blocks of length l uniformly, rows of the series' sliding-window
 view, and truncate the concatenation to n, so a fractional last block is used
 when l does not divide n.  Every estimator, ladar included, is evaluated by
 batch_prefix_values on row blocks of resamples, each block reduced at once to
-the final estimates and, for the self-normalized scheme, the pivots; peak
-memory depends on n and not on the replication count.  The blocks draw from
-one generator in row order, so the outputs do not depend on the block size.
+the final estimates and, for the self-normalized scheme, the pivots.  A block
+holds about BLOCK_VALUES prefix values, so peak memory depends on n and not on
+the replication count; only the median, whose kernel loops over time, keeps
+at least MIN_BLOCK_ROWS rows.  The blocks draw from one generator in row
+order, so the outputs do not depend on the block size.
 
 Scheme statistics (root quantiles, root variance, pivot quantile) take one
 resample set per row.  The public schemes are batches of one; a Monte Carlo
@@ -58,9 +60,10 @@ from .inference import (
 
 MAX_RETRIES = 5  # redraws of a resample with an undefined estimate
 MAX_BAD_FRAC = 0.05  # largest share of replications that may be dropped
-BLOCK_VALUES = 1 << 17  # prefix values (resamples x series length) one row block holds
-# the least rows of a block: the median kernel loops over time in Python, so
-# fewer rows per block would multiply its per-step cost
+BLOCK_VALUES = 1 << 16  # prefix values (resamples x series length) one row block holds
+# the least rows of a median block: its kernel loops over time in Python, so
+# fewer rows per block would multiply its per-step cost; the other kernels are
+# whole-array and take as few rows as BLOCK_VALUES allows
 MIN_BLOCK_ROWS = 128
 
 
@@ -154,10 +157,11 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> t
     when est is given, their pivots n (est* - est)' W*^{-1} (est* - est);
     None otherwise.
 
-    Resamples are evaluated in row blocks of max(MIN_BLOCK_ROWS,
-    BLOCK_VALUES // n) rows, each reduced at once to its finals and pivots, so
-    memory does not grow with the replication count.  The blocks draw from one
-    generator in row order, which gives the values of a single draw.
+    Resamples are evaluated in row blocks of BLOCK_VALUES // n rows, at least
+    one and, for the median, at least MIN_BLOCK_ROWS; each block is reduced at
+    once to its finals and pivots, so memory does not grow with the
+    replication count.  The blocks draw from one generator in row order,
+    which gives the values of a single draw.
     Resamples that batch_prefix_values marks not ok are redrawn after the
     whole first pass, up to MAX_RETRIES times, then dropped.  Resamples whose
     W* is not positive definite are dropped without a redraw and have no
@@ -168,7 +172,8 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> t
         raise BlockTooLongError(cfg.block_length, n)
     keep_heap()  # the blocks' freed temporaries would otherwise be faulted in again
     gen = RngStream(cfg.seed).child("mbb", cfg.block_length).generator()
-    reps, step = cfg.replications, max(MIN_BLOCK_ROWS, BLOCK_VALUES // n)
+    reps = cfg.replications
+    step = max(MIN_BLOCK_ROWS if spec.kind == "median" else 1, BLOCK_VALUES // n)
     finals = np.empty((reps, spec.dim))
     ok, good = np.empty(reps, dtype=bool), np.empty(reps, dtype=bool)
     pivots = None if est is None else np.empty(reps)

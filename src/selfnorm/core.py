@@ -246,9 +246,10 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quadform_spd(a: np.ndarray, v: np.ndarray) -> float:
-    """v' a^{-1} v for symmetric positive definite a."""
+    """v' a^{-1} v for symmetric positive definite a.  The dot product is
+    numpy's sum, not BLAS, so its bits do not depend on the CPU kernel."""
     v = np.asarray(v, dtype=np.float64)
-    return float(v @ solve_spd(a, v))
+    return float((v * solve_spd(a, v)).sum())
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray):

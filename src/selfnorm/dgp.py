@@ -271,7 +271,8 @@ def autocov_sequence(model: ModelSpec | str, kmax: int) -> np.ndarray:
 
     Covers white-noise models with known variance and AR(1)/AR(2)/MA(q)
     filters of white innovations (the covariance structure only needs the
-    innovations to be white).
+    innovations to be white).  Dot products run in numpy's einsum loops, not
+    BLAS, so the truths have the same bits whichever CPU kernel BLAS picks.
     """
     spec = parse_model(model) if isinstance(model, str) else model
     var = _family(spec.noise).variance
@@ -282,7 +283,7 @@ def autocov_sequence(model: ModelSpec | str, kmax: int) -> np.ndarray:
         theta = np.concatenate(([1.0], np.asarray(spec.ma)))
         g = np.zeros(kmax + 1)
         for k in range(min(kmax, len(theta) - 1) + 1):
-            g[k] = s2 * float(theta[k:] @ theta[: len(theta) - k])
+            g[k] = s2 * float(np.einsum("i,i->", theta[k:], theta[: len(theta) - k]))
         return g
     if not spec.ma:
         if len(spec.ar) == 1:
@@ -335,7 +336,7 @@ def true_value(model: ModelSpec | str, target: EstimatorSpec | str):
     if est.kind == "acf":
         return float(g[est.lag] / g[0])
     coef = fourier_coeffs(est.x, kmax + 1)
-    total = float(g @ coef)
+    total = float(np.einsum("i,i->", g, coef))
     if est.kind == "specmean":
         return total
     return total / (g[0] / 2.0)

@@ -93,10 +93,16 @@ class EstimatorSpec:
     order: int = 0
 
     KINDS = ("mean", "median", "acov", "acf", "specmean", "specratio", "ladar")
+    # the one field each kind reads; every other field keeps its default, so
+    # that equal statistics compare equal
+    FIELD = {"acov": "lag", "acf": "lag", "specmean": "x", "specratio": "x", "ladar": "order"}
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown estimator kind {self.kind!r}")
+        for name in ("lag", "x", "order"):
+            if name != self.FIELD.get(self.kind) and getattr(self, name) != 0:
+                raise ValidationError(f"{self.kind} takes no {name}")
         if self.kind in ("acov", "acf") and self.lag < 0:
             raise ValidationError("lag must be >= 0")
         if self.kind in ("specmean", "specratio") and not 0.0 <= self.x <= math.pi:
@@ -182,16 +188,20 @@ def batch_prefix_median(x: np.ndarray) -> np.ndarray:
     Each row is sorted once.  Walking back from the full sample, the newest
     observation is unlinked from a doubly linked list over the sorted order,
     and the pointer to the lower-middle element moves at most one step per
-    deletion, so a row costs O(n log n).
+    deletion, so a row costs O(n log n).  The sorted values get 0.0 added,
+    which turns -0.0 into +0.0, so values that compare equal have equal
+    bytes and the sort need not be stable: a tie may land in any order
+    without changing a median's bits.
     """
     x = _check_matrix(x)
     b, n = x.shape
-    order = np.argsort(x, axis=1, kind="stable")
+    order = np.argsort(x, axis=1)
     # flat indices into (B, n + 1) arrays: a row's sorted positions 0..n-1,
     # then one spare slot that both ends of the row's list point at
     slot = np.arange(b * (n + 1)).reshape(b, n + 1)
-    ranked = np.empty(slot.size)
+    ranked = np.zeros(slot.size)
     ranked[slot[:, :n]] = np.take_along_axis(x, order, axis=1)
+    ranked += 0.0
     sorted_slot = np.empty_like(order)  # sorted_slot[:, i]: where x[:, i] sits
     np.put_along_axis(sorted_slot, order, slot[:, :n], axis=1)
     prev, nxt = slot - 1, slot + 1

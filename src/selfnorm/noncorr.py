@@ -70,6 +70,16 @@ def check_k(n: int, k: int) -> None:
         raise TooShortError(n, k + 21)
 
 
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centred rows of x (B, n), each scaled exactly by a power of two
+    near its largest magnitude, and the exponents e (B, 1): a quantity of
+    degree d in x is that of the scaled rows times 2^(d e).  A scale-free
+    statistic keeps its bits while its products stay within range."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    _, e = np.frexp(np.maximum(xc.max(axis=1, keepdims=True), -xc.min(axis=1, keepdims=True)))
+    return np.ldexp(xc, -e, out=xc), e
+
+
 def _full_autocov(xc: np.ndarray, lags) -> np.ndarray:
     """(B, len(lags)) full-sample autocovariances of the centred rows xc
     (B, n), divisor n."""
@@ -111,12 +121,7 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     b, n = x.shape
     check_k(n, k)
     big_n = n - k
-    xc = x - x.mean(axis=1, keepdims=True)
-    # the statistic does not change with the scale of x; a power-of-two scale
-    # near each row's largest magnitude is exact and keeps W, which grows as
-    # the fourth power of the data's scale, within range
-    _, e = np.frexp(np.abs(xc).max(axis=1, keepdims=True))
-    xc = np.ldexp(xc, -e)
+    xc, _ = _unit_rows(x)
     c_full = _full_autocov(xc, range(1, k + 1))  # (B, k)
     z = np.stack([xc[:, :big_n] * xc[:, j : j + big_n] for j in range(1, k + 1)], axis=1)
     # S_t = t (mean of z_1..z_t - c_full): deviations already weighted by t
@@ -232,11 +237,14 @@ def _kernel_lrv(xc: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, np.n
 
 def _delta_parts(x: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, ...]:
     """Per row of x (B, n): autocovariances gamma_0..k, the first k
-    autocorrelations, their delta-method long-run covariance (B, k, k), and
-    the lag-product covariance V and bandwidth of _kernel_lrv."""
+    autocorrelations, their delta-method long-run covariance (B, k, k), the
+    lag-product covariance V and bandwidth of _kernel_lrv, and the exponents
+    e of _unit_rows.  gamma and V are those of the scaled rows: the data's
+    are ldexp(gamma, 2 e) and ldexp(V, 4 e), which may overflow where these
+    do not; the autocorrelations and their covariance do not change."""
     b, n = x.shape
     check_k(n, k)
-    xc = x - x.mean(axis=1, keepdims=True)
+    xc, e = _unit_rows(x)
     gamma = _full_autocov(xc, range(k + 1))
     g0 = gamma[:, :1]
     v, bw = _kernel_lrv(xc, k, recolor)
@@ -247,13 +255,13 @@ def _delta_parts(x: np.ndarray, k: int, recolor: bool) -> tuple[np.ndarray, ...]
         jac[:, :, 0] = -rho / g0
         jac[:, np.arange(k), np.arange(1, k + 1)] = 1.0 / g0
         omega = jac @ v @ jac.transpose(0, 2, 1)
-    return gamma, rho, (omega + omega.transpose(0, 2, 1)) / 2.0, v, bw
+    return gamma, rho, (omega + omega.transpose(0, 2, 1)) / 2.0, v, bw, e
 
 
 def qtilde_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Batched qtilde_stat; x is (B, n).  Returns (stats, ok); ok is False
     where qtilde_stat raises (zero variance, failed pivot or residual check)."""
-    gamma, rho, omega, _, _ = _delta_parts(x, k, recolor=True)
+    gamma, rho, omega = _delta_parts(x, k, recolor=True)[:3]
     with np.errstate(invalid="ignore"):
         sol, ok = chol_solve_batch(omega, rho)
         ok &= (gamma[:, 0] > 0.0) & (solve_residual_batch(omega, rho, sol) <= RESIDUAL_RTOL)
@@ -265,7 +273,7 @@ def qtilde_stat(ts: SeriesLike, k: int) -> float:
     long-run variance of the lag products (_kernel_lrv) maps to correlations
     by the delta method."""
     s = as_series(ts)
-    gamma, rho, omega, _, _ = _delta_parts(s.values[None, :], k, recolor=True)
+    gamma, rho, omega = _delta_parts(s.values[None, :], k, recolor=True)[:3]
     if not gamma[0, 0] > 0.0:
         raise DegenerateVarianceError("sample variance is zero")
     return s.n * quadform_spd(omega[0], rho[0])
@@ -306,15 +314,16 @@ def efficient_variance_batch(x: np.ndarray, target: EstimatorSpec | str) -> tupl
     The variance comes from the Bartlett covariance of the lag-0 and lag-1
     products, with the prewhitened bandwidth of _kernel_lrv but the window on
     the raw products.  Returns (estimate, variance, bandwidth, ok); a row is
-    not ok when either variance is not positive."""
+    not ok when either variance is not positive or the estimate's is not
+    finite (acov:1's grows as the fourth power of the data's scale)."""
     name = _efficient_target(target)
-    gamma, rho, omega, v, bw = _delta_parts(x, 1, recolor=False)
-    if name == "acov:1":
-        est, var = gamma[:, 1], v[:, 1, 1]
-    else:
-        est, var = rho[:, 0], omega[:, 0, 0]
-    with np.errstate(invalid="ignore"):
-        return est, var, bw, (gamma[:, 0] > 0.0) & (var > 0.0)
+    gamma, rho, omega, v, bw, e = _delta_parts(x, 1, recolor=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if name == "acov:1":
+            est, var = np.ldexp(gamma[:, 1], 2 * e[:, 0]), np.ldexp(v[:, 1, 1], 4 * e[:, 0])
+        else:
+            est, var = rho[:, 0], omega[:, 0, 0]
+        return est, var, bw, (gamma[:, 0] > 0.0) & (var > 0.0) & np.isfinite(var)
 
 
 def efficient_ci(
@@ -327,7 +336,7 @@ def efficient_ci(
     s = as_series(ts)
     est, var, bw, ok = (a[0] for a in efficient_variance_batch(s.values[None, :], name))
     if not ok:
-        raise DegenerateVarianceError("sample or long-run variance is not positive")
+        raise DegenerateVarianceError("sample or long-run variance is not positive and finite")
     half = normal_quantile(0.5 + level / 2.0) * math.sqrt(var / s.n)
     est, var = float(est), float(var)
     return EfficientCiResult(name, est, var, int(bw), level, Interval(est - half, est + half))

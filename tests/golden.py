@@ -5,9 +5,11 @@ A check compares a fresh run with the record token by token.  Text and
 integer tokens must be equal; every other number must agree within 1e-12
 relative, so the record does not depend on the machine's BLAS kernels.
 
-    python tests/golden.py            check the record; exit 1 on a difference
-    python tests/golden.py --update   rewrite the record and print, per file,
-                                      the largest relative change of a number
+    python tests/golden.py                    check the record; exit 1 on a difference
+    python tests/golden.py --update           rewrite the record and print, per file,
+                                              the largest relative change of a number
+    python tests/golden.py --update NAME ...  rewrite only the named files, such as
+                                              ci_sn.json; an unknown name exits 1
 """
 
 from __future__ import annotations
@@ -133,13 +135,18 @@ def check(name: str, work: Path) -> tuple[float, list[str]]:
 
 
 def main(argv: list[str]) -> int:
-    update = argv == ["--update"]
+    update = argv[:1] == ["--update"]
     if argv and not update:
         print(__doc__, file=sys.stderr)
         return 1
+    names = argv[1:] or list(requests())
+    unknown = [name for name in names if name not in requests()]
+    if unknown:
+        print(f"unknown golden file: {', '.join(unknown)}", file=sys.stderr)
+        return 1
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        for name in requests():
+        for name in names:
             new = run(name, Path(tmp))
             path = RECORD / name
             old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else None

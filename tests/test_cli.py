@@ -251,6 +251,17 @@ class TestNoncorr:
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["selfnorm: alpha must be in (0, 1), got 1.5"]
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_nw_at_extreme_scales(self, tmp_path, m1_series, scale):
+        x = np.loadtxt(m1_series.splitlines())
+        path = tmp_path / "x.txt"
+        path.write_text("\n".join(repr(v) for v in (scale * x).tolist()) + "\n")
+        r = run_cli(["test-noncorr", "--k", "2", "--method", "nw", str(path)])
+        assert r.returncode == 0, r.stderr
+        base = run_cli(["test-noncorr", "--k", "2", "--method", "nw"], stdin=m1_series)
+        assert json.loads(r.stdout)["statistic"] == pytest.approx(
+            json.loads(base.stdout)["statistic"], rel=1e-13)
+
     def test_nw_answers_at_any_alpha(self, tmp_path, m1_series):
         # nw reads no table, so its alpha is not rounded
         path = tmp_path / "x.txt"

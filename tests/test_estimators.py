@@ -71,6 +71,20 @@ class TestSpecParsing:
         with pytest.raises(ValidationError):
             EstimatorSpec.parse(text)
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("mean", "lag", 3), ("median", "x", 1.0), ("acov", "order", 2),
+        ("acf", "x", 2.0), ("specmean", "lag", 1), ("specratio", "order", 1),
+        ("ladar", "lag", 1), ("mean", "x", math.nan),
+    ])
+    def test_rejects_a_field_its_kind_does_not_take(self, kind, field, value):
+        # such a spec would print like the parsed one but compare unequal to it
+        taken = {"acov": {"lag": 1}, "acf": {"lag": 1}, "specmean": {"x": 1.0},
+                 "specratio": {"x": 1.0}, "ladar": {"order": 1}}.get(kind, {})
+        with pytest.raises(ValidationError, match=f"^{kind} takes no {field}$"):
+            EstimatorSpec(kind, **taken, **{field: value})
+        spec = EstimatorSpec(kind, **taken)
+        assert EstimatorSpec.parse(spec.canonical()) == spec
+
     def test_first_valid_contract(self):
         assert EstimatorSpec.parse("mean").first_valid() == 1
         assert EstimatorSpec.parse("acov:3").first_valid() == 5
@@ -119,6 +133,18 @@ class TestPrefixMedian:
         values, _, _ = batch_prefix_values(spec, x)
         expect = np.stack([np.median(x[:, :t], axis=1) for t in range(1, n + 1)], axis=1)
         np.testing.assert_array_equal(values[:, :, 0], expect)
+
+    def test_ties_and_signed_zeros(self, rng):
+        # the sort need not be stable: ties have equal bytes once -0.0 is
+        # +0.0, so every prefix is np.median's and a zero median has no sign
+        x = rng.choice([-1.0, -0.0, 0.0, 0.0, 2.5, 2.5], size=(40, 25))
+        x[0] = -0.0
+        x[1, ::2] = -0.0
+        values = batch_prefix_values(EstimatorSpec.parse("median"), x)[0][:, :, 0]
+        expect = np.stack([np.median(x[:, :t], axis=1) for t in range(1, 26)], axis=1)
+        np.testing.assert_array_equal(values, expect)
+        assert (values == 0.0).sum() > 40
+        assert not np.signbit(values[values == 0.0]).any()
 
 
 class TestPrefixAutocov:

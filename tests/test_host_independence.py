@@ -4,8 +4,8 @@ An OpenBLAS built with DYNAMIC_ARCH chooses its kernels for the CPU it runs
 on, and ``OPENBLAS_CORETYPE`` forces one.  Kernels for different CPUs sum in
 different orders, so any seeded output that goes through BLAS can change in
 its last bits from one machine to the next.  One script hashes the series,
-normalizers, statistics and U_q draws under four core types; every hash must
-be the same under all four.
+normalizers, statistics, U_q draws, pivots and the population values of every
+study under four core types; every hash must be the same under all four.
 """
 
 import os
@@ -26,10 +26,12 @@ import hashlib
 
 import numpy as np
 
-from selfnorm.core import RngStream
+from selfnorm.core import EstimateSequence, RngStream
 from selfnorm.critvals import u_stat_from_increments
-from selfnorm.dgp import generate_batch
-from selfnorm.inference import wn_batch
+from selfnorm.dgp import generate_batch, true_value
+from selfnorm.estimators import EstimatorSpec, prefix_estimates
+from selfnorm.inference import sn_pivot, wn_batch
+from selfnorm.montecarlo import STUDIES
 from selfnorm.noncorr import lobato_stat_batch, sn_noncorr_stat_batch
 
 
@@ -62,6 +64,20 @@ for k in (1, 2, 5):
 
 for q in (1, 3, 6):
     print("u_stat", q, digest(*u_stat_from_increments(rng.standard_normal((64, q, 1000)))))
+
+# the truths that decide every coverage indicator of the studies
+pairs = {(kw["model"], kw["target"]) for job in STUDIES.values() for _, kw in job.cells
+         if "target" in kw}
+for model, target in sorted(pairs):
+    print("true_value", model, target, digest(np.asarray(true_value(model, target), dtype=float)))
+
+for target in ("mean", "median", "acov:1", "acf:1", "specmean:pi/2", "specratio:pi/2"):
+    seq = prefix_estimates(EstimatorSpec.parse(target), x[0])
+    print("sn_pivot", target, digest(np.float64(sn_pivot(seq, 0.1))))
+for q in (2, 5):
+    z = rng.standard_normal((600, q))
+    seq = EstimateSequence(np.cumsum(z, axis=0) / np.arange(1, 601)[:, None], 1, 600)
+    print("sn_pivot", q, digest(np.float64(sn_pivot(seq, np.full(q, 0.1)))))
 """
 
 
@@ -95,7 +111,7 @@ def _hashes(coretype):
 def test_one_hash_per_output_under_four_core_types():
     runs = {coretype: _hashes(coretype) for coretype in CORETYPES}
     base = runs[None]
-    assert len(base) == 42
+    assert len(base) == 98
     differ = sorted(item for item in base
                     if len({run[item] for run in runs.values()}) > 1)
     assert not differ, f"outputs that depend on the BLAS kernel: {differ}"

@@ -152,6 +152,48 @@ class TestLevelOffsetAndScale:
         x = RngStream(6).generator().standard_normal(80)
         assert lobato_stat(a * x, 2) == pytest.approx(lobato_stat(x, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("a", [1e150, 1e-150, 2.0**400, 2.0**-400])
+    def test_nw_extreme_scales(self, a):
+        # the lag products and their window grow as the fourth power of the
+        # scale; a power of two leaves every bit of the statistic as it is
+        x = RngStream(6).generator().standard_normal(80)
+        got, base = qtilde_stat(a * x, 2), qtilde_stat(x, 2)
+        assert got == pytest.approx(base, rel=1e-13)
+        if math.frexp(a)[0] == 0.5:
+            assert got == base
+        stats, ok = qtilde_stat_batch(np.vstack([x, a * x]), 2)
+        assert ok.all() and stats[1] == got
+
+    @pytest.mark.parametrize("a", [1e150, 1e-150, 2.0**400, 2.0**-400])
+    def test_efficient_variance_extreme_scales(self, a):
+        x = RngStream(6).generator().standard_normal(80)
+        base = [v[0] for v in efficient_variance_batch(x[None], "acf:1")]
+        got = [v[0] for v in efficient_variance_batch((a * x)[None], "acf:1")]
+        assert got[3] and got[2] == base[2]
+        assert got[:2] == pytest.approx(base[:2], rel=1e-13)
+        if math.frexp(a)[0] == 0.5:
+            assert got == base
+        assert efficient_ci(a * x, "acf:1").variance == got[1]
+
+    @pytest.mark.parametrize("a", [1e150, 1e-150])
+    def test_acov_variance_out_of_range_is_not_ok(self, a):
+        # the acov:1 variance grows as the fourth power of the scale: past
+        # the double range it marks the row not ok, never an infinite interval
+        x = RngStream(6).generator().standard_normal(80)
+        est, var, _, ok = efficient_variance_batch(np.vstack([x, a * x]), "acov:1")
+        assert ok.tolist() == [True, False]
+        assert est[1] == pytest.approx(a * a * est[0], rel=1e-13)
+        with pytest.raises(DegenerateVarianceError):
+            efficient_ci(a * x, "acov:1")
+
+    @pytest.mark.parametrize("k", [-60, 60])
+    def test_acov_scales_back_exactly(self, k):
+        x = RngStream(6).generator().standard_normal(80)
+        base = [v[0] for v in efficient_variance_batch(x[None], "acov:1")]
+        est, var, bw, ok = (v[0] for v in efficient_variance_batch(np.ldexp(x, k)[None], "acov:1"))
+        assert (est, var, bw, ok) == (math.ldexp(base[0], 2 * k), math.ldexp(base[1], 4 * k),
+                                      base[2], True)
+
 
 class TestBandwidth:
     def test_floor_is_one_for_flat_autocovariance(self):
