@@ -7,9 +7,10 @@ parallel Monte Carlo runs reproducible independently of worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -426,15 +427,8 @@ def chi2_quantile(k: int, alpha: float) -> float:
 # Counter-seeded RNG streams
 # ---------------------------------------------------------------------------
 
-def stream_index_for(*parts) -> int:
-    """Stable 64-bit index for a stream key (ints and strings).
-
-    Uses a fixed hash so the same key maps to the same stream in every
-    process, unlike the builtin salted hash().
-    """
-    import hashlib  # loads OpenSSL, which ci and critvals never need
-
-    h = hashlib.blake2b(digest_size=8)
+def _feed_key(h, parts) -> None:
+    """Hash each int or str part of a stream key into the blake2b object h."""
     for part in parts:
         if isinstance(part, (bool, float)):
             raise ValidationError(f"stream key parts must be int or str, got {part!r}")
@@ -445,7 +439,23 @@ def stream_index_for(*parts) -> int:
         else:
             raise ValidationError(f"stream key parts must be int or str, got {part!r}")
         h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "little")
+
+
+def _key_hash(parts):
+    import hashlib  # loads OpenSSL, which ci and critvals never need
+
+    h = hashlib.blake2b(digest_size=8)
+    _feed_key(h, parts)
+    return h
+
+
+def stream_index_for(*parts) -> int:
+    """Stable 64-bit index for a stream key (ints and strings).
+
+    Uses a fixed hash so the same key maps to the same stream in every
+    process, unlike the builtin salted hash().
+    """
+    return int.from_bytes(_key_hash(parts).digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -456,7 +466,9 @@ class RngStream:
     thread; distinct pairs are statistically independent.  Monte Carlo code
     derives one stream per replication from the experiment name and the
     replication index, which makes results independent of how replications
-    are split across workers.
+    are split across workers.  generator() seeds numpy's PCG64 through
+    numpy's own SeedSequence; the module function generators() gives the
+    same states for many streams at once.
     """
 
     seed: int
@@ -473,6 +485,123 @@ class RngStream:
     def child(self, *parts) -> "RngStream":
         """Derived stream for a sub-task named by ints/strings."""
         return RngStream(self.seed, stream_index_for(self.stream, *parts))
+
+    def children(self, name: Union[int, str], indices: Iterable[int]) -> list["RngStream"]:
+        """[self.child(name, i) for i in indices], hashing the shared key
+        prefix once."""
+        prefix = _key_hash((self.stream, name))
+        out = []
+        for i in indices:
+            h = prefix.copy()
+            _feed_key(h, (i,))
+            out.append(RngStream(self.seed, int.from_bytes(h.digest(), "little")))
+        return out
+
+
+# numpy's SeedSequence (NEP 19 fixes its algorithm): a run's entropy words,
+# here the seed's 32-bit words zero-padded to the 4-word pool and then the
+# stream's words, are hashed into the pool; PCG64 takes 8 words hashed out of
+# it as four uint64.  Every hash constant is fixed in advance, so the mixing
+# runs in wrapping uint32 arithmetic over many streams at once.
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int, count: int = 1) -> list[int]:
+    """value's little-endian 32-bit words, at least count of them."""
+    out = []
+    while value or len(out) < count:
+        out.append(value & _M32)
+        value >>= 32
+    return out
+
+
+def _hash_consts(start: int, mult: int, count: int) -> list[int]:
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix with its constant before and after the step;
+    on ints or on uint32 arrays."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (x * _MIX_L - y * _MIX_R) & _M32
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool after a seed's words, and the next hash constant."""
+    words = _words(seed, _POOL)
+    h = _hash_consts(_INIT_A, _MULT_A, _POOL * len(words))
+    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:_POOL])]
+    k = _POOL
+    for src in range(_POOL):  # mix every pool word into every other
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k], h[k + 1]))
+                k += 1
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(w, h[k], h[k + 1]))
+            k += 1
+    return tuple(pool), h[k]
+
+
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)[:, None]
+
+
+def _pcg64_seeds(seed: int, streams: list[int], count: int) -> np.ndarray:
+    """(rows, 4) uint64 PCG64 seed words for one seed and streams of count
+    32-bit words each."""
+    pool_words, start = _seed_pool(seed)
+    pool = np.array(pool_words, dtype=np.uint32)[:, None]
+    words = np.array([_words(s, count) for s in streams], dtype=np.uint32)
+    h = np.array(_hash_consts(start, _MULT_A, _POOL * count), dtype=np.uint32)[:, None]
+    for j in range(count):  # each word mixes into the pool words independently
+        k = _POOL * j
+        pool = _mix(pool, _hashmix(words[:, j], h[k:k + _POOL], h[k + 1:k + _POOL + 1]))
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
+    return ((state[1::2].astype(np.uint64) << np.uint64(32)) | state[0::2]).T.copy()
+
+
+@functools.cache
+def _seed_words_class():
+    """An ISeedSequence handing PCG64 precomputed words; defined on first
+    use, because importing numpy.random costs every other request."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64
+
+    return SeedWords
+
+
+def generators(streams: Sequence[RngStream]) -> list[np.random.Generator]:
+    """[s.generator() for s in streams] with equal states, seeded in one pass:
+    rows are grouped by seed and by the stream's 32-bit word count."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for r, s in enumerate(streams):
+        count = max(1, (int(s.stream).bit_length() + 31) // 32)
+        groups.setdefault((int(s.seed), count), []).append(r)
+    seeds = np.empty((len(streams), 4), dtype=np.uint64)
+    for (seed, count), rows in groups.items():
+        seeds[rows] = _pcg64_seeds(seed, [int(streams[r].stream) for r in rows], count)
+    seed_words = _seed_words_class()
+    return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in seeds]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ DEFAULT_ALPHAS = (0.01, 0.025, 0.05, 0.10)
 CACHE_ENV = "SELFNORM_CRITVAL_CACHE"
 
 _CHUNK = 1024
+_DRAW_VALUES = 1 << 20  # normals drawn at once: 8 MB whatever q and grid
 _MAX_RESAMPLE_FRAC = 0.001
 _MAX_RETRY_ROUNDS = 8
 
@@ -113,8 +114,16 @@ def u_stat_from_increments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simulate_chunk(stream: RngStream, rows: int, q: int, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    z = stream.generator().standard_normal((rows, q, grid))
-    return u_stat_from_increments(z)
+    """(U, ok) for rows draws from the stream's one generator, taken in row
+    sub-blocks of about _DRAW_VALUES normals.  standard_normal yields the
+    same numbers whether called once or piece by piece, so the sub-block
+    size changes no draw, only the peak memory."""
+    gen = stream.generator()
+    step = max(1, _DRAW_VALUES // (q * grid))
+    parts = [u_stat_from_increments(gen.standard_normal((min(step, rows - lo), q, grid)))
+             for lo in range(0, rows, step)]
+    u, ok = zip(*parts)
+    return np.concatenate(u), np.concatenate(ok)
 
 
 def check_table_args(q: int, grid: int, reps: Optional[int]) -> int:

@@ -10,7 +10,8 @@ series length it takes, the map from raw rows to the noise, and its
 stationary variance.  A model filters its noise when it has AR or MA
 coefficients; such models discard a 1000-observation burn-in.  Every
 replication draws from its own counter-seeded stream, so batches are
-reproducible row by row.
+reproducible row by row; a batch's generators are seeded together by
+core.generators, with the states RngStream.generator() would give.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import RngStream, ValidationError
+from .core import RngStream, ValidationError, generators
 from .estimators import EstimatorSpec, fourier_coeffs
 
 BURN_IN = 1000
@@ -185,9 +186,10 @@ def _family(noise: str) -> _Noise:
 
 
 def _noise_matrix(noise: str, cols: int, streams: Sequence[RngStream]) -> np.ndarray:
-    """Draw the (rows, cols) noise matrix, one stream per row."""
+    """Draw the (rows, cols) noise matrix, one stream per row, its generators
+    seeded in one pass."""
     family = _family(noise)
-    u = np.vstack([family.draw(s.generator(), cols + family.extra) for s in streams])
+    u = np.vstack([family.draw(g, cols + family.extra) for g in generators(streams)])
     return u if family.transform is None else family.transform(u)
 
 
@@ -242,7 +244,9 @@ def _ar_block_maps(ar: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _ar_filter(e: np.ndarray, ar: tuple[float, ...], n: int) -> np.ndarray:
     """The last n outputs of the AR recursion driven by the rows of e, from a
     zero start, as a blocked scan (Blelloch 1990): a burn-in block yields
-    only the p outputs that carry into the next one."""
+    only the p outputs that carry into the next one.  e is made C-ordered
+    first: einsum's sums follow the memory layout, and so would the bits."""
+    e = np.ascontiguousarray(e)
     t_map, g_map = _ar_block_maps(ar)
     rows, p, kept = e.shape[0], len(ar), -(-n // _BLOCK)
     burn = e.shape[1] - kept * _BLOCK

@@ -137,7 +137,7 @@ def _run_chunks(fn, reps: int, workers: int) -> dict:
 
 
 def _rep_streams(seed: int, lo: int, hi: int) -> list[RngStream]:
-    return [RngStream(seed).child("rep", i) for i in range(lo, hi)]
+    return RngStream(seed).children("rep", range(lo, hi))
 
 
 def _test_stats_chunk(model: str, n: int, ks: tuple, seed: int, lo: int, hi: int) -> dict:

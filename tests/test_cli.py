@@ -411,6 +411,14 @@ assert main(sys.argv[1:]) == 0
 print(*loaded())
 """
 
+_RANDOM_AFTER_MAIN = """
+import sys
+from selfnorm.cli import main
+
+assert main(sys.argv[1:]) == 0
+print([m for m in ("numpy.random", "_hashlib") if m in sys.modules])
+"""
+
 _EXPORTS_RESOLVE = """
 import selfnorm
 
@@ -461,6 +469,26 @@ class TestStartup:
         serving = ("cli", "core", "critvals", "estimators", "inference")
         assert r.stdout.splitlines()[-1].split() == sorted(
             f"selfnorm.{m}" for m in (*serving, *loaded))
+
+    @pytest.mark.parametrize("args", [
+        ["ci", "--stat", "mean", "SERIES"],
+        ["ci", "--stat", "specratio:pi/2", "--method", "sn", "SERIES"],
+        ["test-noncorr", "--k", "2", "--method", "sn", "SERIES"],
+        ["test-noncorr", "--k", "2", "--method", "lobato", "SERIES"],
+        ["test-noncorr", "--k", "2", "--method", "nw", "SERIES"],
+        ["critvals", "--q", "2"],
+    ], ids=["ci-mean", "ci-specratio", "noncorr-sn", "noncorr-lobato", "noncorr-nw",
+            "critvals"])
+    def test_plain_request_loads_no_numpy_random_or_openssl(self, tmp_path, m1_series,
+                                                            args):
+        # numpy.random costs about 13 ms and 6 MB, half of it OpenSSL's
+        # _hashlib through secrets; only bootstrap, generate and simulate need it
+        path = tmp_path / "x.txt"
+        path.write_text(m1_series)
+        argv = [str(path) if a == "SERIES" else a for a in args]
+        r = run_cli(["-c", _RANDOM_AFTER_MAIN, *argv], module=False)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "[]"
 
     def test_bare_import_loads_no_submodule(self):
         r = run_cli(["-c", _LOADED + "import selfnorm\nprint(loaded())"],

@@ -1,6 +1,8 @@
 """Series validation, SPD solves, stream derivation, text round-trips."""
 
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from selfnorm.core import (
     as_series,
     chi2_quantile,
     chol_solve_batch,
+    generators,
     normal_quantile,
     quadform_batch,
     quadform_spd,
@@ -141,6 +144,48 @@ class TestStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
             RngStream(-1)
+
+    def test_children_equal_child(self):
+        for root in (RngStream(7), RngStream(3, 2**70)):
+            indices = [0, 1, 5, 199, 2**40, -3]
+            assert root.children("rep", indices) == [root.child("rep", i) for i in indices]
+            assert root.children(4, range(3)) == [root.child(4, i) for i in range(3)]
+        assert RngStream(1).children("rep", []) == []
+        with pytest.raises(ValidationError):
+            RngStream(1).children("rep", [1.5])
+
+
+class TestBatchGenerators:
+    """generators() works out numpy's SeedSequence for many streams at once;
+    RngStream.generator(), numpy's own, is the reference."""
+
+    def test_states_equal_numpy_seedsequence(self):
+        # seeds of one, two and five 32-bit words in one call; streams of
+        # one, two and three words, and hashed replication streams
+        streams = []
+        for seed in (0, 1, 2**32 + 1, 2**130):
+            streams += [RngStream(seed, s) for s in (0, 5, 2**32 - 1, 2**32, 2**64 - 1, 2**70)]
+            streams += RngStream(seed).children("rep", range(20))
+        order = np.random.default_rng(3).permutation(len(streams))
+        streams = [streams[i] for i in order]
+        gens = generators(streams)
+        assert len(gens) == len(streams)
+        for g, s in zip(gens, streams):
+            ref = s.generator()
+            assert g.bit_generator.state == ref.bit_generator.state, s
+            np.testing.assert_array_equal(g.standard_normal(3), ref.standard_normal(3))
+
+    def test_repeated_and_single_streams(self):
+        s = RngStream(9, 4)
+        a, b = generators([s, s])
+        assert a.bit_generator.state == b.bit_generator.state == s.generator().bit_generator.state
+        assert generators([]) == []
+
+    def test_importing_core_loads_no_numpy_random(self):
+        code = "import sys, selfnorm.core; print('numpy.random' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "False\n"
 
 
 class TestSeriesIo:

@@ -106,6 +106,27 @@ class TestSimulation:
         assert table.quantiles == {
             a: float(np.quantile(draws, 1.0 - a)) for a in DEFAULT_ALPHAS}
 
+    def test_sub_blocks_equal_one_block(self, monkeypatch):
+        stream = selfnorm.RngStream(5).child("uq", 3, 100, 0)
+        whole = critvals._simulate_chunk(stream, 1024, 3, 100)
+        for values in (1, 600, 50_000):  # sub-blocks of 1, 2 and 166 rows
+            monkeypatch.setattr(critvals, "_DRAW_VALUES", values)
+            parts = critvals._simulate_chunk(stream, 1024, 3, 100)
+            assert [a.tobytes() for a in parts] == [a.tobytes() for a in whole]
+
+    def test_chunk_peak_is_bounded_in_bytes(self):
+        # one (1024, 20, 1000) draw held 164 MB of normals, 476 MB traced
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            u, ok = critvals._simulate_chunk(selfnorm.RngStream(5), 1024, 20, DEFAULT_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (1024,) and ok.all()
+        assert peak < 48 << 20  # a few 8 MB arrays per sub-block
+
     def test_default_reps_by_dimension(self):
         assert default_reps(1) == 200_000
         assert default_reps(5) == 200_000

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from selfnorm import dgp
 from selfnorm.core import RngStream, ValidationError
 from selfnorm.dgp import (
     BURN_IN,
@@ -76,6 +77,17 @@ class TestDeterminism:
     def test_burn_in_constant(self):
         assert BURN_IN == 1000
 
+    @pytest.mark.parametrize("rows", [1, 7, 170])
+    def test_batch_seeding_matches_row_by_row_generators(self, monkeypatch, rows):
+        # every noise family, filtered or not, against one generator() per row
+        models = [*dgp._NOISE_NAMES, *(f"m{i}" for i in range(1, 10)),
+                  "ar1:0.5:normal", "ar1:0.5:garch", "ar1:-0.3:bilinear"]
+        streams = _streams(17, rows)
+        batch = {m: generate_batch(m, 40, streams) for m in models}
+        monkeypatch.setattr(dgp, "generators", lambda ss: [s.generator() for s in ss])
+        for m in models:
+            assert batch[m].tobytes() == generate_batch(m, 40, streams).tobytes(), m
+
 
 def _long_double_recursion(e, ar):
     """x_t = e_t + sum_i ar[i] x_{t-1-i} from a zero start, in long double."""
@@ -108,6 +120,13 @@ class TestArScan:
                 if extended:
                     exact = _long_double_recursion(e, ar)[:, -n:]
                     assert (np.abs(got - exact) / scale).max() <= 1e-15, (rows, n)
+
+    @pytest.mark.parametrize("ar", [(0.7,), (0.6, 0.35)])
+    def test_bits_do_not_depend_on_memory_layout(self, ar):
+        e = np.random.default_rng(12).standard_normal((170, 150 + BURN_IN))
+        c_order = _ar_filter(e, ar, 150)
+        for layout in (np.asfortranarray(e), e.T.copy().T, e[:, ::-1].copy()[:, ::-1]):
+            assert _ar_filter(layout, ar, 150).tobytes() == c_order.tobytes()
 
 
 class TestMoments:
