@@ -8,11 +8,11 @@ ceil(n/l) blocks of length l uniformly, rows of the series' sliding-window
 view, and truncate the concatenation to n, so a fractional last block is used
 when l does not divide n.  Every estimator, ladar included, is evaluated by
 batch_prefix_values on row blocks of resamples, each block reduced at once to
-the final estimates and, for the self-normalized scheme, the pivots.  A block
-holds about BLOCK_VALUES prefix values, so peak memory depends on n and not on
-the replication count; only the median, whose kernel loops over time, keeps
-at least MIN_BLOCK_ROWS rows.  The blocks draw from one generator in row
-order, so the outputs do not depend on the block size.
+the final estimates and, for the self-normalized scheme, the pivots.  The
+blocks follow the one rule of core.row_blocks, at n prefix values per
+resample, so peak memory depends on n and not on the replication count.  The
+blocks draw from one generator in row order, so the outputs do not depend on
+the block size.
 
 Scheme statistics (root quantiles, root variance, pivot quantile) take one
 resample set per row.  The public schemes are batches of one; a Monte Carlo
@@ -44,6 +44,7 @@ from .core import (
     as_series,
     keep_heap,
     normal_quantile,
+    row_blocks,
 )
 from .critvals import check_probability
 from .estimators import EstimatorSpec, batch_prefix_values, prefix_estimates
@@ -60,11 +61,6 @@ from .inference import (
 
 MAX_RETRIES = 5  # redraws of a resample with an undefined estimate
 MAX_BAD_FRAC = 0.05  # largest share of replications that may be dropped
-BLOCK_VALUES = 1 << 16  # prefix values (resamples x series length) one row block holds
-# the least rows of a median block: its kernel loops over time in Python, so
-# fewer rows per block would multiply its per-step cost; the other kernels are
-# whole-array and take as few rows as BLOCK_VALUES allows
-MIN_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -157,11 +153,11 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> t
     when est is given, their pivots n (est* - est)' W*^{-1} (est* - est);
     None otherwise.
 
-    Resamples are evaluated in row blocks of BLOCK_VALUES // n rows, at least
-    one and, for the median, at least MIN_BLOCK_ROWS; each block is reduced at
-    once to its finals and pivots, so memory does not grow with the
-    replication count.  The blocks draw from one generator in row order,
-    which gives the values of a single draw.
+    Resamples are evaluated in the row blocks of core.row_blocks, n prefix
+    values per resample; each block is reduced at once to its finals and
+    pivots, so memory does not grow with the replication count.  The blocks
+    draw from one generator in row order, which gives the values of a single
+    draw.
     Resamples that batch_prefix_values marks not ok are redrawn after the
     whole first pass, up to MAX_RETRIES times, then dropped.  Resamples whose
     W* is not positive definite are dropped without a redraw and have no
@@ -173,13 +169,13 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> t
     keep_heap()  # the blocks' freed temporaries would otherwise be faulted in again
     gen = RngStream(cfg.seed).child("mbb", cfg.block_length).generator()
     reps = cfg.replications
-    step = max(MIN_BLOCK_ROWS if spec.kind == "median" else 1, BLOCK_VALUES // n)
     finals = np.empty((reps, spec.dim))
     ok, good = np.empty(reps, dtype=bool), np.empty(reps, dtype=bool)
     pivots = None if est is None else np.empty(reps)
 
-    def evaluate(where, rows: int) -> None:
-        """Draw rows resamples into the output slots where (a slice or indices)."""
+    def evaluate(where) -> None:
+        """Draw resamples into the output slots where (a slice or indices)."""
+        rows = ok[where].size
         vals, _, fine = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
         if not np.isfinite(vals).all():  # one flat test; the per-row one costs more
             fine = fine & np.isfinite(vals).all(axis=(1, 2))
@@ -192,14 +188,14 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> t
             slots = np.arange(reps)[where][fine]
             _, pivots[slots], good[slots] = wn_scalar_batch(vals[fine], spec.first_valid(), n, est)
 
-    for start in range(0, reps, step):
-        evaluate(slice(start, start + step), min(step, reps - start))
+    for block in row_blocks(reps, n, spec.kind):
+        evaluate(block)
     for _ in range(MAX_RETRIES):
         bad = np.flatnonzero(~ok)
         if bad.size == 0:
             break
-        for start in range(0, bad.size, step):
-            evaluate(bad[start:start + step], min(step, bad.size - start))
+        for block in row_blocks(bad.size, n, spec.kind):
+            evaluate(bad[block])
     undefined = reps - int(np.count_nonzero(ok))
     singular = 0 if pivots is None else int(np.count_nonzero(ok & ~good))
     if undefined + singular > MAX_BAD_FRAC * reps:

@@ -1,8 +1,9 @@
 """Core plumbing shared by every other module.
 
 Series validation, the prefix-estimate container, a positive-definite solve
-with an explicit pivot tolerance, and counter-seeded RNG streams that make
-parallel Monte Carlo runs reproducible independently of worker count.
+with an explicit pivot tolerance, counter-seeded RNG streams that make
+parallel Monte Carlo runs reproducible independently of worker count, and
+the row-block rule that bounds every batch engine's working memory.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -602,6 +603,27 @@ def generators(streams: Sequence[RngStream]) -> list[np.random.Generator]:
         seeds[rows] = _pcg64_seeds(seed, [int(streams[r].stream) for r in rows], count)
     seed_words = _seed_words_class()
     return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in seeds]
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_VALUES = 1 << 16  # values (rows x values per row) one row block holds
+# the least rows of a block, by kind, for kernels that loop in Python once per
+# block: the median over time, and a U_q draw's pivot over the dimension q in
+# chol_solve_batch; fewer rows would multiply that per-block cost.  Every
+# other kernel is whole-array and takes as few rows as BLOCK_VALUES allows.
+MIN_BLOCK_ROWS = {"median": 128, "uq": 32}
+
+
+def row_blocks(rows: int, row_values: int, kind: str = "") -> Iterator[slice]:
+    """Consecutive slices of range(rows), each of BLOCK_VALUES // row_values
+    rows, at least one and at least the kind's MIN_BLOCK_ROWS; the last may
+    be shorter.  A batch engine evaluates its rows block by block, so its
+    temporaries stay near BLOCK_VALUES values whatever the row count."""
+    step = max(MIN_BLOCK_ROWS.get(kind, 1), BLOCK_VALUES // row_values)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 # ---------------------------------------------------------------------------

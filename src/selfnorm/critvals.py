@@ -32,7 +32,7 @@ try:
 except ImportError:  # no advisory locks: concurrent stores may still race
     fcntl = None
 
-from .core import NumericalError, RngStream, ValidationError
+from .core import NumericalError, RngStream, ValidationError, keep_heap, row_blocks
 from .core import quadform_batch  # noqa: F401  (bound by name in bench/spans.py)
 from .inference import wn_batch
 
@@ -42,7 +42,6 @@ DEFAULT_ALPHAS = (0.01, 0.025, 0.05, 0.10)
 CACHE_ENV = "SELFNORM_CRITVAL_CACHE"
 
 _CHUNK = 1024
-_DRAW_VALUES = 1 << 20  # normals drawn at once: 8 MB whatever q and grid
 _MAX_RESAMPLE_FRAC = 0.001
 _MAX_RETRY_ROUNDS = 8
 
@@ -114,14 +113,13 @@ def u_stat_from_increments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simulate_chunk(stream: RngStream, rows: int, q: int, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U, ok) for rows draws from the stream's one generator, taken in row
-    sub-blocks of about _DRAW_VALUES normals.  standard_normal yields the
-    same numbers whether called once or piece by piece, so the sub-block
-    size changes no draw, only the peak memory."""
+    """(U, ok) for rows draws from the stream's one generator, taken in the
+    row blocks of core.row_blocks at q * grid normals per draw.
+    standard_normal yields the same numbers whether called once or piece by
+    piece, so the block size changes no draw, only the peak memory."""
     gen = stream.generator()
-    step = max(1, _DRAW_VALUES // (q * grid))
-    parts = [u_stat_from_increments(gen.standard_normal((min(step, rows - lo), q, grid)))
-             for lo in range(0, rows, step)]
+    parts = [u_stat_from_increments(gen.standard_normal((b.stop - b.start, q, grid)))
+             for b in row_blocks(rows, q * grid, "uq")]
     u, ok = zip(*parts)
     return np.concatenate(u), np.concatenate(ok)
 
@@ -149,6 +147,7 @@ def simulate_draws(q: int, grid: int, reps: Optional[int], seed: int) -> np.ndar
     redrawn; more than 0.1% of them failing aborts.
     """
     reps = check_table_args(q, grid, reps)
+    keep_heap()  # the blocks' freed temporaries would otherwise be faulted in again
     base = RngStream(seed)
     out = np.empty(reps)
     resampled = 0
@@ -202,10 +201,6 @@ def simulate_uq(
 
 def _table_key(q: int, grid: int, reps: int, seed: int) -> str:
     return f"q={q}|grid={grid}|reps={reps}|seed={seed}"
-
-
-def table_to_json(table: CritvalTable) -> str:
-    return json.dumps(table.to_dict(), sort_keys=True)
 
 
 def _load_cache(path) -> dict:

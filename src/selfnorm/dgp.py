@@ -174,7 +174,8 @@ _NOISES = {
     "nonmds": _Noise(_normal, 2, lambda u: u[:, :-2] * u[:, 1:-1] * (u[:, :-2] + u[:, 2:] + 1.0), 5.0),
     "garch": _Noise(_normal, 0, _garch_series, _GARCH_VAR),
     "bilinear": _Noise(_normal, 0, _bilinear_series, 4.0 / 3.0),
-    "archu": _Noise(_normal, 0, lambda u: _arch_series(u) / math.sqrt(_ARCH_VAR), 1.0),
+    # the unit-variance map writes over the raw rows, which the series no longer needs
+    "archu": _Noise(_normal, 0, lambda u: np.divide(_arch_series(u), math.sqrt(_ARCH_VAR), out=u), 1.0),
 }
 
 
@@ -189,7 +190,9 @@ def _noise_matrix(noise: str, cols: int, streams: Sequence[RngStream]) -> np.nda
     """Draw the (rows, cols) noise matrix, one stream per row, its generators
     seeded in one pass."""
     family = _family(noise)
-    u = np.vstack([family.draw(g, cols + family.extra) for g in generators(streams)])
+    u = np.empty((len(streams), cols + family.extra))
+    for row, g in zip(u, generators(streams)):
+        row[:] = family.draw(g, u.shape[1])
     return u if family.transform is None else family.transform(u)
 
 
@@ -200,11 +203,11 @@ def generate_batch(model: ModelSpec | str, n: int, streams: Sequence[RngStream])
         raise ValidationError("need n >= 2")
     if not (spec.ar or spec.ma):
         return _noise_matrix(spec.noise, n, streams)
-    cols = n + BURN_IN
-    e = _noise_matrix(spec.noise, cols, streams)
+    x = _noise_matrix(spec.noise, n + BURN_IN, streams)
+    if not spec.ar:  # the last n outputs of an MA filter read only the last n + q inputs
+        x = x[:, -(n + len(spec.ma)):]
     if spec.scale != 1.0:
-        e = e * spec.scale
-    x = e
+        x *= spec.scale
     if spec.ma:
         theta = np.asarray(spec.ma)
         acc = x[:, len(theta):].copy()

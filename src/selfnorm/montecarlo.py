@@ -9,8 +9,12 @@ estimator dimension q.
 
 Replications are counter-seeded (one child stream per replication index), so
 results are bit-identical no matter how the work is chunked or how many
-worker processes run the chunks.  Each experiment writes rows with a fixed
-column set so every study lands in the same CSV shape.
+worker processes run the chunks.  A chunk generates its series whole, then
+evaluates the estimator kernels, self-normalizers, non-correlation statistics
+and efficient variances in the row blocks of core.row_blocks, at n values per
+row, so its peak memory stays near that rule's bound whatever n; the kernels
+are row by row, so the blocks change no bit.  Each experiment writes rows
+with a fixed column set so every study lands in the same CSV shape.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .core import (
     chi2_quantile,
     keep_heap,
     normal_quantile,
+    row_blocks,
     stream_index_for,
 )
 from .critvals import get_quantile
@@ -140,31 +145,52 @@ def _rep_streams(seed: int, lo: int, hi: int) -> list[RngStream]:
     return RngStream(seed).children("rep", range(lo, hi))
 
 
+def _by_row_blocks(x: np.ndarray, kind: str, block) -> dict:
+    """block(rows, bad) on the row blocks of x, core.row_blocks at n values
+    per row, its arrays concatenated in row order.  block adds the failed
+    rows of each of its checks to bad, {message: count}, always in one order;
+    the first message with a count raises one NumericalError for all of x."""
+    bad: dict[str, int] = {}
+    parts = [block(x[b], bad) for b in row_blocks(*x.shape, kind)]
+    for what, count in bad.items():
+        if count:
+            raise NumericalError(f"{count} {what}")
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+def _passed(bad: dict, what: str, ok: np.ndarray) -> bool:
+    """Add the rows ok marks failed to bad[what]; True when there are none."""
+    count = int(np.count_nonzero(~ok))
+    bad[what] = bad.get(what, 0) + count
+    return count == 0
+
+
 def _test_stats_chunk(model: str, n: int, ks: tuple, seed: int, lo: int, hi: int) -> dict:
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
-    out = {}
-    for k in ks:
-        # looked up per call: the traced benchmark run rebinds these names
-        stats = (lobato_stat_batch, sn_noncorr_stat_batch, qtilde_stat_batch)
-        for name, fn in zip(_TEST_METHOD_ORDER, stats):
-            vals, ok = fn(x, k)
-            if not np.all(ok):
-                bad = int(np.sum(~ok))
-                raise NumericalError(f"{bad} degenerate {name} statistics at k={k}")
-            out[(name, k)] = vals
-    return out
+
+    def block(rows: np.ndarray, bad: dict) -> dict:
+        out = {}
+        for k in ks:
+            # looked up per call: the traced benchmark run rebinds these names
+            stats = (lobato_stat_batch, sn_noncorr_stat_batch, qtilde_stat_batch)
+            for name, fn in zip(_TEST_METHOD_ORDER, stats):
+                out[(name, k)], ok = fn(rows, k)
+                _passed(bad, f"degenerate {name} statistics at k={k}", ok)
+        return out
+
+    return _by_row_blocks(x, "", block)
 
 
-def _sn_parts(spec: EstimatorSpec, x: np.ndarray, n: int, theta0) -> tuple[np.ndarray, ...]:
-    """Full-sample estimates (B, dim), self-normalizers W (B, dim, dim) and
-    pivots at theta0 (B,) of the rows of x."""
+def _sn_block(spec: EstimatorSpec, n: int, theta0, x: np.ndarray, bad: dict) -> dict:
+    """Full-sample estimates "center" (B, dim), self-normalizers "w"
+    (B, dim, dim) and pivots at theta0 "pivot" (B,) of the rows of x; none
+    of them when an estimate path is degenerate, since the chunk then fails."""
     vals, fv, ok = batch_prefix_values(spec, x)
-    if not np.all(ok):
-        raise NumericalError(f"{int(np.sum(~ok))} degenerate {spec.canonical()} estimate paths")
+    if not _passed(bad, f"degenerate {spec.canonical()} estimate paths", ok):
+        return {}
     w, pivot, ok = wn_scalar_batch(vals, fv, n, theta0)
-    if not np.all(ok):
-        raise NumericalError(f"{int(np.sum(~ok))} singular self-normalizers")
-    return vals[:, -1], w, pivot
+    _passed(bad, "singular self-normalizers", ok)
+    return {"center": vals[:, -1].copy(), "w": w, "pivot": pivot}  # no view keeps vals alive
 
 
 def _coverage_chunk(
@@ -173,16 +199,17 @@ def _coverage_chunk(
     spec = EstimatorSpec.parse(target)
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
     truth = np.asarray(true_value(model, spec))
-    out = {}
-    if "sn" in methods:
-        _, out["w"], out["pivot"] = _sn_parts(spec, x, n, truth)
-    if "eff" in methods:
-        center, var, _, ok = efficient_variance_batch(x, spec)
-        if not np.all(ok):
-            raise NumericalError(f"{int(np.sum(~ok))} degenerate efficient variances")
-        out["eff_miss"] = np.abs(center - truth)
-        out["eff_scale"] = np.sqrt(var / n)
-    return out
+
+    def block(rows: np.ndarray, bad: dict) -> dict:
+        out = _sn_block(spec, n, truth, rows, bad) if "sn" in methods else {}
+        if "eff" in methods:
+            center, var, _, ok = efficient_variance_batch(rows, spec)
+            _passed(bad, "degenerate efficient variances", ok)
+            out["eff_miss"] = np.abs(center - truth)
+            out["eff_scale"] = np.sqrt(var / n)
+        return out
+
+    return _by_row_blocks(x, spec.kind, block)
 
 
 _BOOT_SCHEMES = ("mbb-pct", "mbb-normal", "mbb-sn")
@@ -203,8 +230,8 @@ def _sweep_chunk(
     spec = EstimatorSpec.parse(target)
     truth = true_value(model, spec)
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
-    center, w, pivot = _sn_parts(spec, x, n, truth)
-    center, w = center[:, 0], w[:, 0, 0]
+    sn = _by_row_blocks(x, spec.kind, partial(_sn_block, spec, n, truth))
+    center, w, pivot = sn["center"][:, 0], sn["w"][:, 0, 0], sn["pivot"]
     half = np.sqrt(sn_critval * w / n)
     out = {("sn", "cover"): pivot <= sn_critval, ("sn", "width"): 2.0 * half}
     shape = (x.shape[0], len(block_lengths))

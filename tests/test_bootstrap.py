@@ -354,7 +354,8 @@ class TestRaggedReplication:
 
 class TestRowBlocks:
     """The engine's row blocks change no bit: 200 resamples run in blocks of
-    7 rows give exactly the outputs of the default run, which is one block."""
+    one row (7 for the median) give exactly the outputs of the default run,
+    which is one block.  The blocks are forced through core's constants."""
 
     REPS = 200
     STATS = ("mean", "median", "acov:1", "acf:1", "specmean:pi/2", "specratio:pi/2")
@@ -365,10 +366,11 @@ class TestRowBlocks:
 
     @staticmethod
     def _both(monkeypatch, run):
-        """run() with the default blocks, then in blocks of 7 rows."""
+        """run() with the default blocks, then in blocks of one row (7 for
+        the median)."""
         default = run()
-        monkeypatch.setattr(bootstrap, "BLOCK_VALUES", 0)
-        monkeypatch.setattr(bootstrap, "MIN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(core, "BLOCK_VALUES", 0)
+        monkeypatch.setattr(core, "MIN_BLOCK_ROWS", {"median": 7})
         return default, run()
 
     def _series(self, n=80):
@@ -379,7 +381,7 @@ class TestRowBlocks:
     def test_schemes(self, monkeypatch, stat, scheme):
         x, spec = self._series(), EstimatorSpec.parse(stat)
         cfg = MbbConfig(block_length=4, replications=self.REPS, seed=3)
-        assert bootstrap.BLOCK_VALUES // x.size >= self.REPS  # one default block
+        assert core.BLOCK_VALUES // x.size >= self.REPS  # one default block
         default, blocked = self._both(monkeypatch, lambda: _SCHEMES[scheme](x, spec, cfg).to_dict())
         assert blocked == default
 

@@ -26,6 +26,7 @@ from selfnorm.core import (
     quadform_batch,
     quadform_spd,
     read_series,
+    row_blocks,
     solve_spd,
     stream_index_for,
     validate_series,
@@ -113,6 +114,23 @@ class TestSpdSolve:
         qf, ok = quadform_batch(a, np.ones((2, 2)))
         assert ok.tolist() == [True, False]
         assert qf[0] == pytest.approx(2.0)
+
+
+class TestRowBlocks:
+    @staticmethod
+    def _spans(*args):
+        return [(b.start, b.stop) for b in row_blocks(*args)]
+
+    def test_blocks_hold_block_values_and_cover_the_rows_in_order(self):
+        assert self._spans(10, (1 << 16) // 4) == [(0, 4), (4, 8), (8, 10)]
+        assert self._spans(3, 1) == [(0, 3)]
+        assert self._spans(0, 50) == []
+
+    def test_at_least_one_row_and_the_kind_floor(self):
+        assert self._spans(3, 1 << 20) == [(0, 1), (1, 2), (2, 3)]
+        assert self._spans(300, 600, "median") == [(0, 128), (128, 256), (256, 300)]
+        assert self._spans(300, 600) == [(0, 109), (109, 218), (218, 300)]
+        assert self._spans(40, 20 * 1000, "uq") == [(0, 32), (32, 40)]
 
 
 class TestStreams:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import selfnorm
-from selfnorm import critvals
+from selfnorm import core, critvals
 from selfnorm.critvals import (
     DEFAULT_ALPHAS,
     DEFAULT_GRID,
@@ -24,7 +24,6 @@ from selfnorm.critvals import (
     simulate_draws,
     simulate_uq,
     table_alpha,
-    table_to_json,
     u_stat_from_increments,
 )
 
@@ -108,11 +107,23 @@ class TestSimulation:
 
     def test_sub_blocks_equal_one_block(self, monkeypatch):
         stream = selfnorm.RngStream(5).child("uq", 3, 100, 0)
+        blocked = critvals._simulate_chunk(stream, 1024, 3, 100)  # the default blocks of 218 rows
+        monkeypatch.setattr(core, "BLOCK_VALUES", 1024 * 300)
         whole = critvals._simulate_chunk(stream, 1024, 3, 100)
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+        monkeypatch.setattr(core, "MIN_BLOCK_ROWS", {})
         for values in (1, 600, 50_000):  # sub-blocks of 1, 2 and 166 rows
-            monkeypatch.setattr(critvals, "_DRAW_VALUES", values)
+            monkeypatch.setattr(core, "BLOCK_VALUES", values)
             parts = critvals._simulate_chunk(stream, 1024, 3, 100)
             assert [a.tobytes() for a in parts] == [a.tobytes() for a in whole]
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_one_row_blocks_keep_the_draws(self, monkeypatch, q):
+        # 1100 draws span two chunks; 1-row blocks split every chunk fully
+        default = simulate_draws(q, 100, 1100, 12)
+        monkeypatch.setattr(core, "BLOCK_VALUES", 0)
+        monkeypatch.setattr(core, "MIN_BLOCK_ROWS", {})
+        assert simulate_draws(q, 100, 1100, 12).tobytes() == default.tobytes()
 
     def test_chunk_peak_is_bounded_in_bytes(self):
         # one (1024, 20, 1000) draw held 164 MB of normals, 476 MB traced
@@ -329,7 +340,7 @@ class TestKarhunenLoeveTables:
 class TestShippedTables:
     def test_q1_entry_is_the_simulated_bytes(self):
         shipped = json.dumps(_shipped()[_default_key(1)], sort_keys=True)
-        assert table_to_json(simulate_uq(1)) == shipped
+        assert json.dumps(simulate_uq(1).to_dict(), sort_keys=True) == shipped
 
     def test_holds_exactly_the_default_tables(self):
         tables = _shipped()

@@ -89,6 +89,23 @@ class TestDeterminism:
             assert batch[m].tobytes() == generate_batch(m, 40, streams).tobytes(), m
 
 
+class TestMemory:
+    def test_ma_batch_makes_no_full_width_copies(self):
+        # 200 rows of 1600 draws are 2.6 MB; stacking row arrays, scaling out
+        # of place and filtering all 1600 columns peaked at 7.7 MB traced
+        import tracemalloc
+
+        streams = _streams(23, 200)
+        generate_batch("m4", 600, streams)
+        tracemalloc.start()
+        try:
+            generate_batch("m4", 600, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, peak
+
+
 def _long_double_recursion(e, ar):
     """x_t = e_t + sum_i ar[i] x_{t-1-i} from a zero start, in long double."""
     e = np.ascontiguousarray(e.T, dtype=np.longdouble)  # time-major rows

@@ -164,6 +164,85 @@ class TestChunkEngine:
                 == [[_row_key(r) for r in rows] for rows in fresh])
 
 
+class TestRowBlocks:
+    """A chunk's kernels run in row blocks, which change no bit: runs in
+    blocks of one row, forced through core's constants, give the bytes of
+    the default blocks, both in every array the chunks merge and in the CSV
+    rows.  At n = 600 a 150-row chunk is two default blocks (109 rows, or
+    the median's floor of 128)."""
+
+    @staticmethod
+    def _bytes(monkeypatch, run):
+        """(CSV text of run()'s rows, bytes of every array its chunks merged),
+        with the power null pass run afresh."""
+        merged = []
+        real = montecarlo._run_chunks
+
+        def recording(*args):
+            merged.append(real(*args))
+            return merged[-1]
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", recording)
+        monkeypatch.setattr(montecarlo, "_NULL_STATS", {})
+        sink = io.StringIO()
+        write_csv(run(), sink)
+        return sink.getvalue(), [(key, v.tobytes()) for m in merged for key, v in m.items()]
+
+    def _both(self, monkeypatch, run):
+        default = self._bytes(monkeypatch, run)
+        monkeypatch.setattr(core, "BLOCK_VALUES", 0)
+        monkeypatch.setattr(core, "MIN_BLOCK_ROWS", {})
+        return default, self._bytes(monkeypatch, run)
+
+    @pytest.mark.parametrize("model,n,target,methods,reps", [
+        ("m1", 600, "acf:1", ("sn", "eff"), 150),
+        ("m2", 600, "median", ("sn",), 150),
+        ("m1", 150, "ladar:1", ("sn",), 60),
+    ])
+    def test_coverage(self, monkeypatch, model, n, target, methods, reps):
+        default, blocked = self._both(monkeypatch, lambda: run_coverage(
+            model, n, target, levels=(0.9, 0.95), reps=reps, seed=12, methods=methods))
+        assert blocked == default
+
+    def test_size(self, monkeypatch):
+        # 250 replications span two chunks
+        default, blocked = self._both(monkeypatch, lambda: run_size(
+            "iidn", 100, ks=(1, 3), alphas=(0.05, 0.10), reps=250, seed=13))
+        assert blocked == default
+
+    def test_power(self, monkeypatch):
+        default, blocked = self._both(monkeypatch, lambda: run_power(
+            "ar1:0.3:garch", 100, ks=(1, 3), alphas=(0.05,), reps=250, seed=14))
+        assert len(default[1]) == 12  # alternative and null: 3 methods x 2 lags each
+        assert blocked == default
+
+    def test_degenerate_rows_raise_once_with_chunk_counts(self, monkeypatch):
+        # constant rows have no acf; one fails in each of two blocks
+        x = np.random.default_rng(3).standard_normal((6, 40))
+        x[[1, 4]] = 1.0
+        monkeypatch.setattr(montecarlo, "generate_batch", lambda *a: x)
+        monkeypatch.setattr(core, "BLOCK_VALUES", 3 * 40)
+        with pytest.raises(core.NumericalError, match="^2 degenerate acf:1 estimate paths$"):
+            montecarlo._coverage_chunk("m1", 40, "acf:1", ("sn", "eff"), 1, 0, 6)
+
+
+class TestChunkMemory:
+    def test_coverage_chunk_peak_is_bounded_in_bytes(self):
+        # the chunk's 200 rows evaluated whole peaked at 11.3 MB traced; two
+        # row blocks peak at 5.3 MB
+        import tracemalloc
+
+        kwargs = dict(levels=(0.9,), reps=200, seed=1, methods=("sn", "eff"))
+        run_coverage("m4", 600, "acf:1", **kwargs)  # loads the table and the truths
+        tracemalloc.start()
+        try:
+            run_coverage("m4", 600, "acf:1", **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
+
 class _FakeLibc:
     def __init__(self):
         self.calls = []
