@@ -28,9 +28,7 @@ _EXPORTS = {
         "write_series",
     ),
     "estimators": (
-        "EstimatorSpec", "fourier_coeffs", "prefix_autocorr", "prefix_autocov",
-        "prefix_estimates", "prefix_lad_ar", "prefix_mean", "prefix_median",
-        "prefix_spectral_mean", "prefix_spectral_ratio",
+        "EstimatorSpec", "fourier_coeffs", "prefix_estimates", "prefix_lad_ar",
     ),
     "inference": (
         "Ellipsoid", "Interval", "SelfNormResult", "sn_interval", "sn_pivot",

@@ -53,6 +53,7 @@ from .inference import (
     Interval,
     json_estimate,
     json_region,
+    sn_half_width,
     sn_interval,
     sn_pivot,  # noqa: F401  (bound by name in bench/spans.py)
     sn_region,
@@ -182,11 +183,9 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> t
         finals[where], ok[where] = vals[:, -1], fine
         if pivots is None:
             return
-        if fine.all():
-            _, pivots[where], good[where] = wn_scalar_batch(vals, spec.first_valid(), n, est)
-        else:
-            slots = np.arange(reps)[where][fine]
-            _, pivots[slots], good[slots] = wn_scalar_batch(vals[fine], spec.first_valid(), n, est)
+        if not fine.all():
+            where, vals = np.arange(reps)[where][fine], vals[fine]
+        pivots[where], good[where] = wn_scalar_batch(vals, spec.first_valid(), n, est)[1:3]
 
     for block in row_blocks(reps, n, spec.kind):
         evaluate(block)
@@ -315,11 +314,11 @@ def bootstrap_suite(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est: flo
     return math.sqrt(x.shape[0]) * (finals[:, 0] - est), pivots
 
 
-def suite_intervals(roots: list, pivots: list, est: float, w: float, n: int, level: float) -> dict:
+def suite_intervals(roots: list, pivots: list, est: float, w: float, e: int, n: int, level: float) -> dict:
     """{scheme: (lower, upper)} for m resample sets of one series, each bound
-    an (m,) array, from the bootstrap_suite vectors of every set: the
-    statistics of the single-series schemes, evaluated for all sets at once."""
-    half_sn = np.sqrt(_stacked(lambda p: np.quantile(p, level, axis=1), pivots) * w / n)
+    an (m,) array, from the bootstrap_suite vectors of every set and the
+    series' wn_batch w and e: the single-series schemes, for all sets at once."""
+    half_sn = sn_half_width(_stacked(lambda p: np.quantile(p, level, axis=1), pivots), w, n, e)
     return {
         "mbb-pct": _stacked(_percentile_bounds, roots, est, n, level),
         "mbb-normal": _stacked(_normal_bounds, roots, est, n, level)[:2],

@@ -305,6 +305,15 @@ def quadform_batch(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.einsum("mk,mk->m", v, x), ok
 
 
+def row_exponent(x: np.ndarray) -> np.ndarray:
+    """Exponents e, one per row of x (first axis) and shaped to broadcast, with
+    the row's largest magnitude in [2^(e-1), 2^e); 0 for a row of zeros or with
+    a non-finite value.  ldexp(x, -e) scales each row exactly."""
+    axes = tuple(range(1, x.ndim))
+    top = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
+    return np.frexp(top)[1]
+
+
 # ---------------------------------------------------------------------------
 # Reference quantiles
 # ---------------------------------------------------------------------------

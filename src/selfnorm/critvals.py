@@ -109,7 +109,7 @@ def u_stat_from_increments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     grid = z.shape[2]
     means = np.cumsum(z, axis=2) / np.arange(1, grid + 1)
-    return wn_batch(means.transpose(0, 2, 1), 1, grid)[1:]
+    return wn_batch(means.transpose(0, 2, 1), 1, grid)[1:3]
 
 
 def _simulate_chunk(stream: RngStream, rows: int, q: int, grid: int) -> tuple[np.ndarray, np.ndarray]:

@@ -384,43 +384,6 @@ def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Public single-series estimators
-# ---------------------------------------------------------------------------
-
-def prefix_mean(ts: SeriesLike) -> EstimateSequence:
-    """Running means of all prefixes."""
-    return prefix_estimates(EstimatorSpec("mean"), ts)
-
-
-def prefix_median(ts: SeriesLike) -> EstimateSequence:
-    """Running medians; even-length prefixes use the midpoint of the two
-    central order statistics."""
-    return prefix_estimates(EstimatorSpec("median"), ts)
-
-
-def prefix_autocov(ts: SeriesLike, k: int) -> EstimateSequence:
-    """Running mean-corrected lag-k autocovariances, prefixes k+2..n; the
-    lag-k sum of prefix t is divided by t (the usual gamma-hat)."""
-    return prefix_estimates(EstimatorSpec("acov", lag=k), ts)
-
-
-def prefix_autocorr(ts: SeriesLike, k: int) -> EstimateSequence:
-    """Running lag-k autocorrelations, prefixes k+2..n."""
-    return prefix_estimates(EstimatorSpec("acf", lag=k), ts)
-
-
-def prefix_spectral_mean(ts: SeriesLike, x: float) -> EstimateSequence:
-    """Running spectral averages over [0, x] of the prefix periodogram,
-    prefixes 4..n."""
-    return prefix_estimates(EstimatorSpec("specmean", x=x), ts)
-
-
-def prefix_spectral_ratio(ts: SeriesLike, x: float) -> EstimateSequence:
-    """Running spectral averages over [0, x] relative to the total mass."""
-    return prefix_estimates(EstimatorSpec("specratio", x=x), ts)
-
-
-# ---------------------------------------------------------------------------
 # Least absolute deviation autoregression
 # ---------------------------------------------------------------------------
 

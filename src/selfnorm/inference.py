@@ -17,32 +17,50 @@ import numpy as np
 from .core import (
     EstimateSequence,
     NotPositiveDefiniteError,
+    NumericalError,
     TooFewPrefixesError,
     quadform_batch,
     quadform_spd,
+    row_exponent,
     solve_spd,
 )
 
 
-def _gram_quadform(dev: np.ndarray, center: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """(W, n center' W^{-1} center, ok) with W = n^{-2} dev dev' per row of
-    the weighted deviations dev (B, q, rows); ok is False where W is not
-    positive definite, and the pivot is NaN there."""
+# W grows as the square of the estimates' scale (the data's fourth power for acov
+# and specmean); rows whose largest diagonal entry leaves this band are rescaled
+_W_BAND = (2.0 ** -500, 2.0 ** 500)
+
+
+def _gram(dev: np.ndarray, n: int) -> np.ndarray:
     # numpy's own loops, not BLAS: the same sums on every CPU, W exactly symmetric
-    w = np.einsum("bim,bjm->bij", dev, dev) / (float(n) * float(n))
+    return np.einsum("bim,bjm->bij", dev, dev) / (float(n) * float(n))
+
+
+def _gram_quadform(dev: np.ndarray, center: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(w, n center' W^{-1} center, ok, e) per row of the weighted deviations
+    dev (B, q, rows), W = n^{-2} dev dev' = ldexp(w, 2 e).  e = 0 and w = W
+    where W's largest diagonal entry is in _W_BAND; other rows scale dev and
+    center by 2^-e of core.row_exponent first, which keeps the pivot's bits.
+    ok is False where W is not positive definite, and the pivot NaN there."""
+    w = _gram(dev, n)
+    e = np.zeros(w.shape[0], dtype=np.int32)
+    top = np.diagonal(w, axis1=1, axis2=2).max(axis=1)
+    far = ~((top >= _W_BAND[0]) & (top <= _W_BAND[1]))  # NaN is far too
+    if far.any():
+        e[far] = row_exponent(dev[far])[:, 0, 0]
+        w[far] = _gram(np.ldexp(dev[far], -e[far, None, None]), n)
+        center = np.ldexp(center, -e[:, None])
     quad, ok = quadform_batch(w, center)
-    return w, n * quad, ok
+    return w, n * quad, ok, e
 
 
 def wn_batch(values: np.ndarray, first_valid: int, n_eff: int, theta0=0.0) -> tuple[np.ndarray, ...]:
     """Self-normalizer and pivot of a batch of prefix trajectories.
 
     values is (B, rows, q), row m holding the estimate from the first
-    first_valid + m observations.  Returns (w, pivot, ok): the (B, q, q)
-    W = N^{-2} sum_t t^2 (est_t - est_N)(est_t - est_N)', the (B,) pivot
-    N (est_N - theta0)' W^{-1} (est_N - theta0), and ok False where W is not
-    positive definite.  W, the Gram of the t-weighted deviations, is exactly
-    symmetric.
+    first_valid + m observations.  Returns _gram_quadform's (w, pivot, ok, e)
+    for the (B, q, q) W = N^{-2} sum_t t^2 (est_t - est_N)(est_t - est_N)',
+    exactly symmetric, and the (B,) pivot N (est_N - theta0)' W^{-1} (est_N - theta0).
     """
     values = np.asarray(values, dtype=np.float64)
     t = np.arange(first_valid, n_eff + 1, dtype=np.float64)
@@ -51,24 +69,34 @@ def wn_batch(values: np.ndarray, first_valid: int, n_eff: int, theta0=0.0) -> tu
     return _gram_quadform(dev, values[:, -1, :] - theta0, n_eff)
 
 
+def _wn_one(seq: EstimateSequence) -> tuple[np.ndarray, int]:
+    """(w, e) of wn_batch for one trajectory."""
+    if seq.estimates.shape[0] < 2:
+        raise TooFewPrefixesError(seq.estimates.shape[0])
+    w, _, _, e = wn_batch(seq.estimates[None], seq.first_valid, seq.n_eff)
+    return w[0], e[0]
+
+
 def wn_matrix(seq: EstimateSequence) -> np.ndarray:
     """Self-normalizer W = N^{-2} sum_t t^2 (est_t - est_N)(est_t - est_N)';
     a batch of one through wn_batch.  Prefixes below first_valid simply do
     not contribute."""
-    rows = seq.estimates.shape[0]
-    if rows < 2:
-        raise TooFewPrefixesError(rows)
-    return wn_batch(seq.estimates[None], seq.first_valid, seq.n_eff)[0][0]
+    w, e = _wn_one(seq)
+    return np.ldexp(w, 2 * e)
 
 
 def sn_pivot(seq: EstimateSequence, theta0: np.ndarray) -> float:
-    """N (est_N - theta0)' W^{-1} (est_N - theta0)."""
+    """N (est_N - theta0)' W^{-1} (est_N - theta0), from wn_batch's w and 2^-e (est_N - theta0)."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
     if theta0.shape != (seq.dim,):
         raise ValueError(f"theta0 shape {theta0.shape} does not match dim {seq.dim}")
-    w = wn_matrix(seq)
-    diff = seq.final - theta0
-    return seq.n_eff * quadform_spd(w, diff)
+    w, e = _wn_one(seq)
+    return seq.n_eff * quadform_spd(w, np.ldexp(seq.final - theta0, -e))
+
+
+def sn_half_width(critval, w, n_eff: int, e):
+    """Half-width sqrt(critval W / N) of a scalar interval from wn_batch's w, e."""
+    return np.ldexp(np.sqrt(critval * w / n_eff), e)
 
 
 @dataclass(frozen=True)
@@ -153,11 +181,13 @@ def sn_interval(
     """
     if seq.dim != 1:
         raise ValueError("sn_interval is for scalar estimators; use sn_region")
-    w = wn_matrix(seq)[0, 0]
-    if not 0.0 < w < np.inf:
+    w, e = _wn_one(seq)
+    if not 0.0 < w[0, 0] < np.inf:
         raise NotPositiveDefiniteError("self-normalizer is not positive and finite")
-    half = float(np.sqrt(critval * w / seq.n_eff))
+    half = float(sn_half_width(critval, w[0, 0], seq.n_eff, e))
     est = float(seq.final[0])
+    if not np.isfinite([est - half, est + half]).all():
+        raise NumericalError("interval bounds overflow")
     return SelfNormResult(
         estimator=estimator,
         estimate=seq.final.copy(),

@@ -46,6 +46,7 @@ from .estimators import (
     prefix_lad_ar,  # noqa: F401  (bound by name in bench/spans.py)
 )
 from .inference import (
+    sn_half_width,
     sn_pivot,  # noqa: F401  (bound by name in bench/spans.py)
     wn_batch as wn_scalar_batch,  # alias bound by name in bench/spans.py
 )
@@ -182,15 +183,15 @@ def _test_stats_chunk(model: str, n: int, ks: tuple, seed: int, lo: int, hi: int
 
 
 def _sn_block(spec: EstimatorSpec, n: int, theta0, x: np.ndarray, bad: dict) -> dict:
-    """Full-sample estimates "center" (B, dim), self-normalizers "w"
-    (B, dim, dim) and pivots at theta0 "pivot" (B,) of the rows of x; none
-    of them when an estimate path is degenerate, since the chunk then fails."""
+    """Full-sample estimates "center" (B, dim), wn_batch's "w" (B, dim, dim)
+    and "e" (B,), and pivots at theta0 "pivot" (B,) of the rows of x; none of
+    them when an estimate path is degenerate, since the chunk then fails."""
     vals, fv, ok = batch_prefix_values(spec, x)
     if not _passed(bad, f"degenerate {spec.canonical()} estimate paths", ok):
         return {}
-    w, pivot, ok = wn_scalar_batch(vals, fv, n, theta0)
+    w, pivot, ok, e = wn_scalar_batch(vals, fv, n, theta0)
     _passed(bad, "singular self-normalizers", ok)
-    return {"center": vals[:, -1].copy(), "w": w, "pivot": pivot}  # no view keeps vals alive
+    return {"center": vals[:, -1].copy(), "w": w, "e": e, "pivot": pivot}  # no view keeps vals alive
 
 
 def _coverage_chunk(
@@ -231,8 +232,8 @@ def _sweep_chunk(
     truth = true_value(model, spec)
     x = generate_batch(model, n, _rep_streams(seed, lo, hi))
     sn = _by_row_blocks(x, spec.kind, partial(_sn_block, spec, n, truth))
-    center, w, pivot = sn["center"][:, 0], sn["w"][:, 0, 0], sn["pivot"]
-    half = np.sqrt(sn_critval * w / n)
+    center, w, e, pivot = sn["center"][:, 0], sn["w"][:, 0, 0], sn["e"], sn["pivot"]
+    half = sn_half_width(sn_critval, w, n, e)
     out = {("sn", "cover"): pivot <= sn_critval, ("sn", "width"): 2.0 * half}
     shape = (x.shape[0], len(block_lengths))
     for name in _BOOT_SCHEMES:
@@ -244,7 +245,7 @@ def _sweep_chunk(
             bootstrap_suite(row, spec, MbbConfig(block, boot_reps, boot_seed, level), center[r])
             for block in block_lengths
         ]
-        bounds = suite_intervals(*zip(*sets), center[r], w[r], n, level)
+        bounds = suite_intervals(*zip(*sets), center[r], w[r], e[r], n, level)
         for name, (lower, upper) in bounds.items():
             out[(name, "cover")][r] = (lower <= truth) & (truth <= upper)
             out[(name, "width")][r] = upper - lower
@@ -367,8 +368,8 @@ def run_coverage(
             if method == "sn":
                 crit = get_quantile(spec.dim, 1.0 - level)
                 covered = merged["pivot"] <= crit
-                w = merged["w"][:, 0, 0]
-                widths = None if spec.kind == "ladar" else 2.0 * np.sqrt(crit * w / n)
+                half = sn_half_width(crit, merged["w"][:, 0, 0], n, merged["e"])
+                widths = None if spec.kind == "ladar" else 2.0 * half
             elif method == "eff":
                 halves = normal_quantile(0.5 + level / 2.0) * merged["eff_scale"]
                 covered, widths = merged["eff_miss"] <= halves, 2.0 * halves

@@ -34,6 +34,7 @@ from .core import (
     normal_quantile,
     quadform_batch,  # noqa: F401  (bound by name in bench/spans.py)
     quadform_spd,
+    row_exponent,
     solve_residual_batch,
 )
 from .critvals import check_probability
@@ -71,12 +72,10 @@ def check_k(n: int, k: int) -> None:
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The centred rows of x (B, n), each scaled exactly by a power of two
-    near its largest magnitude, and the exponents e (B, 1): a quantity of
-    degree d in x is that of the scaled rows times 2^(d e).  A scale-free
-    statistic keeps its bits while its products stay within range."""
+    """The centred rows of x (B, n) scaled by 2^-e, and the exponents e
+    (B, 1) of core.row_exponent.  A scale-free statistic keeps its bits."""
     xc = x - x.mean(axis=1, keepdims=True)
-    _, e = np.frexp(np.maximum(xc.max(axis=1, keepdims=True), -xc.min(axis=1, keepdims=True)))
+    e = row_exponent(xc)
     return np.ldexp(xc, -e, out=xc), e
 
 
@@ -109,7 +108,7 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     size = np.abs(c).max(axis=(1, 2), keepdims=True)
     c /= np.where(size > 0.0, size, 1.0)
     # prefix s carries weight s - k = 2..N
-    return wn_batch(c.transpose(0, 2, 1), 2, n - k)[1:]
+    return wn_batch(c.transpose(0, 2, 1), 2, n - k)[1:3]
 
 
 def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +124,7 @@ def lobato_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     c_full = _full_autocov(xc, range(1, k + 1))  # (B, k)
     z = np.stack([xc[:, :big_n] * xc[:, j : j + big_n] for j in range(1, k + 1)], axis=1)
     # S_t = t (mean of z_1..z_t - c_full): deviations already weighted by t
-    return _gram_quadform(np.cumsum(z - c_full[:, :, None], axis=2), c_full, big_n)[1:]
+    return _gram_quadform(np.cumsum(z - c_full[:, :, None], axis=2), c_full, big_n)[1:3]
 
 
 def sn_noncorr_stat(ts: SeriesLike, k: int) -> float:

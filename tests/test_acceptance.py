@@ -15,7 +15,7 @@ from scipy import stats
 from selfnorm.core import RngStream
 from selfnorm.critvals import simulate_draws, simulate_uq
 from selfnorm.dgp import generate_batch
-from selfnorm.estimators import EstimatorSpec, batch_prefix_values, prefix_mean
+from selfnorm.estimators import EstimatorSpec, batch_prefix_values, prefix_estimates
 from selfnorm.inference import sn_pivot, wn_batch, wn_matrix
 from selfnorm.montecarlo import (
     run_block_sweep,
@@ -32,7 +32,7 @@ def _passed(num, detail):
 
 class TestAcceptance:
     def test_01_pivot_hand_value(self):
-        seq = prefix_mean(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         w = wn_matrix(seq)[0, 0]
         assert w == pytest.approx(1.04, abs=1e-12)
         piv = sn_pivot(seq, 0.0)
@@ -62,7 +62,7 @@ class TestAcceptance:
         base = RngStream(31415)
         x = generate_batch("iidn", 500, [base.child("rep", i) for i in range(5000)])
         values, first, _ = batch_prefix_values(EstimatorSpec.parse("mean"), x)
-        _, piv, ok = wn_batch(values, first, 500, 0.0)
+        _, piv, ok, _ = wn_batch(values, first, 500, 0.0)
         assert bool(np.all(ok))
         ref = simulate_draws(1, 1000, 50000, 99991)
         ks = stats.ks_2samp(piv, ref).statistic

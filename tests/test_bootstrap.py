@@ -254,7 +254,7 @@ class TestSuite:
         seq = prefix_estimates(_MEAN, x)
         est, w = float(seq.final[0]), wn_matrix(seq)[0, 0]
         root, pivots = bootstrap_suite(x, _MEAN, cfg, est)
-        suite = suite_intervals([root], [pivots], est, w, x.size, cfg.level)
+        suite = suite_intervals([root], [pivots], est, w, 0, x.size, cfg.level)
         builders = {
             "mbb-pct": mbb_percentile_ci,
             "mbb-normal": mbb_normal_ci,
@@ -335,7 +335,7 @@ class TestRaggedReplication:
         sets = [bootstrap_suite(x, _MEAN, self._cfg(b), est) for b in self.BLOCKS]
         kept = {b: root.size for b, (root, _) in zip(self.BLOCKS, sets)}
         assert {b for b in self.BLOCKS if kept[b] < self.REPS} == {3, 6}
-        bounds = suite_intervals(*zip(*sets), est, w, self.N, self.LEVEL)
+        bounds = suite_intervals(*zip(*sets), est, w, 0, self.N, self.LEVEL)
         for name, builder in _SCHEMES.items():
             for j, block in enumerate(self.BLOCKS):
                 region = builder(x, _MEAN, self._cfg(block)).region

@@ -292,9 +292,68 @@ class TestNoncorr:
 # not print numpy warnings ahead of its one line
 _HUGE = "".join(f"{v:g}\n" for v in np.where(
     np.random.default_rng(0).random(60) < 0.5, -1e308, 1e308))
-# alternating signs keep every prefix mean and median finite while W and the
-# resampled trajectories overflow
+# alternating signs keep every prefix mean and median finite while the
+# median's t-weighted deviations and the resampled trajectories overflow
 _ALTERNATING = "1e+308\n-1e+308\n" * 30
+# the mean's W is in range once scaled, but its interval is not
+_WIDE = "1.7e308\n0\n0\n0\n-1.7e308\n"
+
+
+_M1 = np.loadtxt(Path(__file__).resolve().parent / "data" / "golden" / "series_m1.txt")
+# each statistic's degree in the data's scale
+_DEGREE = {"mean": 1, "median": 1, "acov:1": 2, "acf:1": 0, "specmean:pi/2": 2,
+           "specratio:pi/2": 0, "ladar:1": 0}
+
+
+def _ci_scaled(tmp_path, capsys, scale, *args):
+    """The ci JSON for the m1 golden series times scale, run in-process."""
+    path = tmp_path / "x.txt"
+    path.write_text("".join(f"{v!r}\n" for v in (scale * _M1).tolist()))
+    code = cli.main(["ci", *args, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return json.loads(out)
+
+
+class TestExtremeScales:
+    """W grows as the square of the estimates' scale and may leave the double
+    range where the pivot does not; the interval follows the data's scale."""
+
+    @pytest.mark.parametrize("stat", list(_DEGREE))
+    @pytest.mark.parametrize("p", [400, -400])
+    def test_power_of_two_scale_is_exact(self, tmp_path, capsys, stat, p):
+        base = _ci_scaled(tmp_path, capsys, 1.0, "--stat", stat)
+        out = _ci_scaled(tmp_path, capsys, 2.0 ** p, "--stat", stat)
+        factor = 2.0 ** (p * _DEGREE[stat])
+        assert out["critval"] == base["critval"]
+        for key in ("estimate", "L", "U"):
+            assert out[key] == base[key] * factor, key
+
+    @pytest.mark.parametrize("stat", list(_DEGREE))
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_decimal_scale_within_1e_14(self, tmp_path, capsys, stat, scale):
+        base = _ci_scaled(tmp_path, capsys, 1.0, "--stat", stat)
+        out = _ci_scaled(tmp_path, capsys, scale, "--stat", stat)
+        for key in ("L", "U"):
+            assert out[key] == pytest.approx(base[key] * scale ** _DEGREE[stat], rel=1e-14)
+
+    def test_mbb_sn_power_of_two_scale_is_exact(self, tmp_path, capsys):
+        args = ("--stat", "acov:1", "--method", "mbb-sn", "--block", "5", "--reps", "200",
+                "--seed", "1")
+        base = _ci_scaled(tmp_path, capsys, 1.0, *args)
+        out = _ci_scaled(tmp_path, capsys, 2.0 ** 400, *args)
+        assert out["critval"] == base["critval"]
+        for key in ("estimate", "L", "U"):
+            assert out[key] == base[key] * 2.0 ** 800, key
+
+    def test_mean_answers_where_w_squares_past_the_range(self):
+        # dev_t is 1e308 at odd t and 0 at even t, so W = 1e616 / 120
+        r = run_cli(["ci", "--stat", "mean"], stdin=_ALTERNATING)
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out["estimate"] == 0.0
+        assert out["U"] == -out["L"] == pytest.approx(1e308 * (out["critval"] / 7200) ** 0.5,
+                                                      rel=1e-14)
 
 
 class TestNumericalFailure:
@@ -304,8 +363,8 @@ class TestNumericalFailure:
                     "specratio:pi/2", "ladar:1")),
         *(pytest.param(["test-noncorr", "--k", "2", "--method", m], _HUGE, id=f"test-noncorr-{m}")
           for m in ("sn", "lobato", "nw")),
-        *(pytest.param(["ci", "--stat", s], _ALTERNATING, id=f"ci-{s}-alternating")
-          for s in ("mean", "median")),
+        pytest.param(["ci", "--stat", "median"], _ALTERNATING, id="ci-median-alternating"),
+        pytest.param(["ci", "--stat", "mean"], _WIDE, id="ci-mean-bounds-overflow"),
         *(pytest.param(["ci", "--stat", s, "--method", m, "--block", "5", "--reps", "200",
                         "--seed", "1"], _ALTERNATING, id=f"ci-{s}-{m}-alternating")
           for s in ("mean", "median") for m in ("mbb-pct", "mbb-normal")),

@@ -27,6 +27,7 @@ from selfnorm.core import (
     quadform_spd,
     read_series,
     row_blocks,
+    row_exponent,
     solve_spd,
     stream_index_for,
     validate_series,
@@ -114,6 +115,15 @@ class TestSpdSolve:
         qf, ok = quadform_batch(a, np.ones((2, 2)))
         assert ok.tolist() == [True, False]
         assert qf[0] == pytest.approx(2.0)
+
+
+def test_row_exponent_scales_each_row_exactly_into_half_to_one():
+    x = np.array([[0.75, -3.0], [0.0, 0.0], [np.inf, 1.0], [2.0 ** -1074, 0.0]])
+    e = row_exponent(x)
+    assert e.shape == (4, 1)
+    assert e[:, 0].tolist() == [2, 0, 0, -1073]
+    np.testing.assert_array_equal(np.ldexp(x[:1], -e[:1]), [[0.1875, -0.75]])
+    assert row_exponent(np.full((2, 3, 4), -2.0 ** 600)).reshape(-1).tolist() == [601, 601]
 
 
 class TestRowBlocks:

@@ -18,14 +18,8 @@ from selfnorm.estimators import (
     batch_prefix_spectral,
     batch_prefix_values,
     fourier_coeffs,
-    prefix_autocorr,
-    prefix_autocov,
     prefix_estimates,
     prefix_lad_ar,
-    prefix_mean,
-    prefix_median,
-    prefix_spectral_mean,
-    prefix_spectral_ratio,
 )
 
 # moderately sized random series reused by the brute-force oracles
@@ -98,29 +92,29 @@ class TestSpecParsing:
 
 class TestPrefixMean:
     def test_hand_values(self):
-        seq = prefix_mean((1.0, 2.0, 3.0, 4.0, 5.0))
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), (1.0, 2.0, 3.0, 4.0, 5.0))
         np.testing.assert_allclose(seq.estimates[:, 0], [1, 1.5, 2, 2.5, 3])
 
     def test_constant(self):
-        seq = prefix_mean(np.full(6, 2.5))
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), np.full(6, 2.5))
         np.testing.assert_array_equal(seq.estimates[:, 0], np.full(6, 2.5))
 
     def test_sign_symmetry(self):
-        seq = prefix_mean((-1.0, 1.0))
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), (-1.0, 1.0))
         np.testing.assert_allclose(seq.estimates[:, 0], [-1.0, 0.0])
 
 
 class TestPrefixMedian:
     def test_hand_values(self):
-        seq = prefix_median((3.0, 1.0, 2.0))
+        seq = prefix_estimates(EstimatorSpec.parse("median"), (3.0, 1.0, 2.0))
         np.testing.assert_allclose(seq.estimates[:, 0], [3, 2, 2])
 
     def test_sorted_input_midpoint_rule(self):
-        seq = prefix_median((1.0, 2.0, 3.0, 4.0, 5.0))
+        seq = prefix_estimates(EstimatorSpec.parse("median"), (1.0, 2.0, 3.0, 4.0, 5.0))
         np.testing.assert_allclose(seq.estimates[:, 0], [1, 1.5, 2, 2.5, 3])
 
     def test_matches_numpy_per_prefix(self):
-        seq = prefix_median(_SERIES)
+        seq = prefix_estimates(EstimatorSpec.parse("median"), _SERIES)
         expect = [np.median(_SERIES[:t]) for t in range(1, len(_SERIES) + 1)]
         np.testing.assert_allclose(seq.estimates[:, 0], expect, atol=1e-14)
 
@@ -149,22 +143,22 @@ class TestPrefixMedian:
 
 class TestPrefixAutocov:
     def test_alternating_hand_value(self):
-        seq = prefix_autocov((1.0, -1.0, 1.0, -1.0), 1)
+        seq = prefix_estimates(EstimatorSpec.parse("acov:1"), (1.0, -1.0, 1.0, -1.0))
         assert seq.final[0] == pytest.approx(-0.75)
 
     def test_lag_zero_is_variance(self):
-        seq = prefix_autocov(_SERIES, 0)
+        seq = prefix_estimates(EstimatorSpec.parse("acov:0"), _SERIES)
         assert (seq.estimates[:, 0] >= 0).all()
         assert seq.final[0] == pytest.approx(np.var(_SERIES), rel=1e-12)
 
     def test_iid_lag_one_small(self):
         x = RngStream(11).generator().standard_normal(500)
-        assert abs(prefix_autocov(x, 1).final[0]) < 0.2
+        assert abs(prefix_estimates(EstimatorSpec.parse("acov:1"), x).final[0]) < 0.2
 
     # the ids name the divisor: every prefix autocovariance divides by t
     @pytest.mark.parametrize("k", [0, 1, 2, 5], ids=lambda k: f"{k}-full_n")
     def test_brute_force_prefix_oracle(self, k):
-        seq = prefix_autocov(_SERIES, k)
+        seq = prefix_estimates(EstimatorSpec.parse(f"acov:{k}"), _SERIES)
         for row, t in enumerate(range(seq.first_valid, seq.n_eff + 1)):
             expect = _brute_autocov(_SERIES, t, k)
             assert seq.estimates[row, 0] == pytest.approx(expect, abs=1e-12)
@@ -172,21 +166,21 @@ class TestPrefixAutocov:
     def test_lag_too_large(self):
         from selfnorm.core import LagTooLargeError
         with pytest.raises(LagTooLargeError):
-            prefix_autocov(np.arange(5.0), 5)
+            prefix_estimates(EstimatorSpec.parse("acov:5"), np.arange(5.0))
 
 
 class TestPrefixAutocorr:
     def test_alternating_hand_value(self):
-        seq = prefix_autocorr((1.0, -1.0, 1.0, -1.0), 1)
+        seq = prefix_estimates(EstimatorSpec.parse("acf:1"), (1.0, -1.0, 1.0, -1.0))
         assert seq.final[0] == pytest.approx(-0.75)
 
     def test_linear_trend_near_one(self):
-        seq = prefix_autocorr(np.arange(100, dtype=np.float64), 1)
+        seq = prefix_estimates(EstimatorSpec.parse("acf:1"), np.arange(100, dtype=np.float64))
         assert 0.9 < seq.final[0] <= 1.0
 
     def test_constant_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
-            prefix_autocorr(np.full(10, 3.0), 1)
+            prefix_estimates(EstimatorSpec.parse("acf:1"), np.full(10, 3.0))
 
 
 class TestFourierCoeffs:
@@ -205,8 +199,8 @@ class TestSpectralMean:
     def test_full_band_equals_half_variance(self):
         for seed in range(5):
             x = RngStream(seed).generator().standard_normal(40)
-            sm = prefix_spectral_mean(x, math.pi)
-            acov0 = prefix_autocov(x, 0)
+            sm = prefix_estimates(EstimatorSpec.parse("specmean:pi"), x)
+            acov0 = prefix_estimates(EstimatorSpec.parse("acov:0"), x)
             lo = sm.first_valid - acov0.first_valid
             np.testing.assert_allclose(
                 sm.estimates[:, 0], acov0.estimates[lo:, 0] / 2.0, atol=1e-10)
@@ -214,7 +208,7 @@ class TestSpectralMean:
     def test_indicator_weight_matches_autocovariance_sum(self):
         # every prefix: sum_k g_k gamma_t(k), two-pass autocovariances of x[:t]
         x = _SERIES
-        sm = prefix_spectral_mean(x, 1.0)
+        sm = prefix_estimates(EstimatorSpec.parse("specmean:1.0"), x)
         g = fourier_coeffs(1.0, len(x))
         for row, t in enumerate(range(sm.first_valid, sm.n_eff + 1)):
             gamma = [_brute_autocov(x, t, k) for k in range(t)]
@@ -232,17 +226,17 @@ class TestSpectralMean:
             return (gamma[0] + 2.0 * (gamma[1:] * np.cos(k * lam)).sum()) / (2 * math.pi)
 
         expect, _ = quad(density, 0.0, math.pi / 2, limit=400)
-        got = prefix_spectral_mean(x, math.pi / 2).final[0]
+        got = prefix_estimates(EstimatorSpec.parse("specmean:pi/2"), x).final[0]
         assert got == pytest.approx(expect, abs=1e-8)
 
 
 class TestSpectralRatio:
     def test_full_band_is_one(self):
-        seq = prefix_spectral_ratio(_SERIES, math.pi)
+        seq = prefix_estimates(EstimatorSpec.parse("specratio:pi"), _SERIES)
         np.testing.assert_allclose(seq.estimates[:, 0], 1.0, atol=1e-12)
 
     def test_zero_cutoff_is_zero(self):
-        seq = prefix_spectral_ratio(_SERIES, 0.0)
+        seq = prefix_estimates(EstimatorSpec.parse("specratio:0.0"), _SERIES)
         np.testing.assert_allclose(seq.estimates[:, 0], 0.0, atol=1e-15)
 
     def test_low_frequency_mass_of_positive_ar(self):
@@ -250,13 +244,13 @@ class TestSpectralRatio:
         # so the series' own low-frequency share exceeds one half
         from selfnorm.dgp import generate
         x = generate("ar1:0.7:normal", 2000, RngStream(3))
-        ratio = prefix_spectral_ratio(x, math.pi / 2)
+        ratio = prefix_estimates(EstimatorSpec.parse("specratio:pi/2"), x)
         assert ratio.final[0] > 0.5
 
     def test_ratio_equals_mean_quotient(self):
-        ratio = prefix_spectral_ratio(_SERIES, 1.0).final[0]
-        num = prefix_spectral_mean(_SERIES, 1.0).final[0]
-        den = prefix_spectral_mean(_SERIES, math.pi).final[0]
+        ratio = prefix_estimates(EstimatorSpec.parse("specratio:1.0"), _SERIES).final[0]
+        num = prefix_estimates(EstimatorSpec.parse("specmean:1.0"), _SERIES).final[0]
+        den = prefix_estimates(EstimatorSpec.parse("specmean:pi"), _SERIES).final[0]
         assert ratio == pytest.approx(num / den, rel=1e-12)
 
 
@@ -438,7 +432,8 @@ class TestLevelOffsetAndScale:
     """The prefix-sum kernels must not cancel under a level offset: every
     target is shift-invariant, and the ratios are scale-invariant.  Errors
     are relative to the prefix variance (acov, specmean) or to 1 (acf and
-    specratio, which it bounds)."""
+    specratio, which it bounds); under a scale, the mean and median errors
+    are relative to the series' standard deviation."""
 
     TARGETS = ["acov:0", "acov:1", "acf:1", "specmean:pi/2", "specratio:pi/2"]
 
@@ -452,21 +447,22 @@ class TestLevelOffsetAndScale:
         assert ok[0]
         assert np.max(np.abs(values[0, :, 0] - expect) / scale) <= tol
 
-    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("target", ["mean", "median", *TARGETS])
     @pytest.mark.parametrize("a", [1e150, 1e-150])
     def test_extreme_scales(self, target, a):
         spec = EstimatorSpec.parse(target)
-        power = 0 if spec.kind in ("acf", "specratio") else 2
+        power = {"mean": 1, "median": 1, "acf": 0, "specratio": 0}.get(spec.kind, 2)
         base, _, _ = batch_prefix_values(spec, _SERIES[None, :])
         scaled, _, ok = batch_prefix_values(spec, a * _SERIES[None, :])
         assert ok[0]
-        _, scale = _two_pass_oracle(spec, _SERIES)
+        scale = np.std(_SERIES) if power == 1 else _two_pass_oracle(spec, _SERIES)[1]
         assert np.max(np.abs(scaled[0, :, 0] / a**power - base[0, :, 0]) / scale) <= 1e-12
 
     def test_offset_autocorrelation_not_degenerate(self):
-        seq = prefix_autocorr(_SERIES + 1e8, 1)
+        spec = EstimatorSpec.parse("acf:1")
+        seq = prefix_estimates(spec, _SERIES + 1e8)
         np.testing.assert_allclose(seq.estimates[:, 0],
-                                   prefix_autocorr(_SERIES, 1).estimates[:, 0],
+                                   prefix_estimates(spec, _SERIES).estimates[:, 0],
                                    atol=1e-6)
 
 
@@ -568,17 +564,17 @@ class TestEquivariance:
     @settings(max_examples=25, deadline=None)
     def test_location_scale_of_mean_and_median(self, case):
         x, a, b = case
-        for fn in (prefix_mean, prefix_median):
-            base = fn(x).estimates[:, 0]
-            moved = fn(a * x + b).estimates[:, 0]
+        for spec in (EstimatorSpec.parse("mean"), EstimatorSpec.parse("median")):
+            base = prefix_estimates(spec, x).estimates[:, 0]
+            moved = prefix_estimates(spec, a * x + b).estimates[:, 0]
             np.testing.assert_allclose(moved, a * base + b, rtol=1e-10, atol=1e-10)
 
     @given(_series_and_affine())
     @settings(max_examples=25, deadline=None)
     def test_autocov_scales_quadratically(self, case):
         x, a, b = case
-        base = prefix_autocov(x, 1).estimates[:, 0]
-        moved = prefix_autocov(a * x + b, 1).estimates[:, 0]
+        base = prefix_estimates(EstimatorSpec.parse("acov:1"), x).estimates[:, 0]
+        moved = prefix_estimates(EstimatorSpec.parse("acov:1"), a * x + b).estimates[:, 0]
         np.testing.assert_allclose(moved, a * a * base, rtol=1e-8, atol=1e-12)
 
     @given(_series_and_affine())
@@ -586,12 +582,10 @@ class TestEquivariance:
     def test_autocorr_and_ratio_invariant(self, case):
         x, a, b = case
         y = a * x + b
-        np.testing.assert_allclose(
-            prefix_autocorr(y, 1).estimates[:, 0],
-            prefix_autocorr(x, 1).estimates[:, 0], rtol=1e-7, atol=1e-10)
-        np.testing.assert_allclose(
-            prefix_spectral_ratio(y, math.pi / 2).estimates[:, 0],
-            prefix_spectral_ratio(x, math.pi / 2).estimates[:, 0], rtol=1e-7, atol=1e-10)
+        for spec in (EstimatorSpec.parse("acf:1"), EstimatorSpec.parse("specratio:pi/2")):
+            np.testing.assert_allclose(
+                prefix_estimates(spec, y).estimates[:, 0],
+                prefix_estimates(spec, x).estimates[:, 0], rtol=1e-7, atol=1e-10)
 
     @given(_series_and_affine())
     @settings(max_examples=10, deadline=None)

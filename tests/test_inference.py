@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfnorm.core import EstimateSequence, NotPositiveDefiniteError
-from selfnorm.estimators import EstimatorSpec, batch_prefix_values, prefix_mean
+from selfnorm.estimators import EstimatorSpec, batch_prefix_values, prefix_estimates
 from selfnorm.inference import (
     sn_interval,
     sn_pivot,
@@ -27,7 +27,7 @@ _ONE_TO_FIVE = (1.0, 2.0, 3.0, 4.0, 5.0)
 
 class TestWnMatrix:
     def test_hand_value(self):
-        w = wn_matrix(prefix_mean(_ONE_TO_FIVE))
+        w = wn_matrix(prefix_estimates(EstimatorSpec.parse("mean"), _ONE_TO_FIVE))
         assert w.shape == (1, 1)
         assert w[0, 0] == pytest.approx(1.04, abs=1e-14)
 
@@ -51,7 +51,7 @@ class TestWnMatrix:
         # t^2 (mean_t - mean_n)^2 equals the squared centered partial sum,
         # so W matches the cusum form exactly
         x = rng.standard_normal(120)
-        w = wn_matrix(prefix_mean(x))[0, 0]
+        w = wn_matrix(prefix_estimates(EstimatorSpec.parse("mean"), x))[0, 0]
         n = len(x)
         cusum = np.cumsum(x - x.mean())
         expect = float((cusum * cusum).sum()) / (n * n)
@@ -60,20 +60,30 @@ class TestWnMatrix:
 
 class TestPivot:
     def test_zero_at_the_estimate(self):
-        seq = prefix_mean(_ONE_TO_FIVE)
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), _ONE_TO_FIVE)
         assert sn_pivot(seq, seq.final) == pytest.approx(0.0, abs=1e-13)
 
     def test_hand_value_at_zero(self):
-        assert sn_pivot(prefix_mean(_ONE_TO_FIVE), 0.0) == pytest.approx(
-            1125.0 / 26.0, abs=1e-10)
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), _ONE_TO_FIVE)
+        assert sn_pivot(seq, 0.0) == pytest.approx(1125.0 / 26.0, abs=1e-10)
 
     @given(st.floats(0.25, 4.0), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_affine_invariance_for_the_mean(self, c, d, seed):
         x = np.random.default_rng(seed).standard_normal(25)
-        base = sn_pivot(prefix_mean(x), 0.1)
-        moved = sn_pivot(prefix_mean(c * x + d), c * 0.1 + d)
+        base = sn_pivot(prefix_estimates(EstimatorSpec.parse("mean"), x), 0.1)
+        moved = sn_pivot(prefix_estimates(EstimatorSpec.parse("mean"), c * x + d), c * 0.1 + d)
         assert moved == pytest.approx(base, rel=1e-8)
+
+
+    @pytest.mark.parametrize("p", [400, -400])
+    def test_answers_where_w_leaves_the_double_range(self, rng, p):
+        # W of acov:1 scales as 2^(4p): it overflows at p = 400 and
+        # underflows at p = -400, while the pivot stays the same
+        x = rng.standard_normal(200)
+        spec = EstimatorSpec.parse("acov:1")
+        base = sn_pivot(prefix_estimates(spec, x), 0.1)
+        assert sn_pivot(prefix_estimates(spec, x * 2.0 ** p), 0.1 * 2.0 ** (2 * p)) == base
 
 
 def _ar1_rows(rng, rows, n, phi=0.6):
@@ -102,8 +112,8 @@ class TestWnBatch:
         const = 3
         values = np.insert(values, const, 0.7, axis=0)  # a constant trajectory
         theta0 = np.linspace(-0.1, 0.1, q)
-        w, piv, ok = wn_batch(values, fv, n, theta0)
-        assert w.shape == (7, q, q) and piv.shape == ok.shape == (7,)
+        w, piv, ok, e = wn_batch(values, fv, n, theta0)
+        assert w.shape == (7, q, q) and piv.shape == ok.shape == e.shape == (7,)
         assert list(np.flatnonzero(~ok)) == [const]
         np.testing.assert_array_equal(w, np.swapaxes(w, 1, 2))  # no symmetrization
         for i in np.flatnonzero(ok):
@@ -111,17 +121,36 @@ class TestWnBatch:
             np.testing.assert_allclose(w[i], wn_matrix(seq), rtol=1e-12)
             assert piv[i] == pytest.approx(sn_pivot(seq, theta0), rel=1e-12)
         # a row's result does not depend on the other rows of the batch
-        w_rest, piv_rest, ok_rest = wn_batch(np.delete(values, const, axis=0), fv, n, theta0)
+        w_rest, piv_rest, ok_rest, _ = wn_batch(np.delete(values, const, axis=0), fv, n, theta0)
         assert ok_rest.all()
         np.testing.assert_array_equal(w_rest, np.delete(w, const, axis=0))
         np.testing.assert_array_equal(piv_rest, np.delete(piv, const))
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rows_out_of_range_are_formed_from_scaled_deviations(self, rng, q):
+        # in range: e = 0 and the plain Gram's bits; a trajectory scaled by
+        # 2^+-400, whose W leaves [2^-500, 2^500], gives ldexp(w, 2e) = W
+        # exactly scaled and the same pivot bits
+        n = 60
+        values, fv = _trajectories(_ar1_rows(rng, 4, n), q)
+        theta0 = np.linspace(-0.1, 0.1, q)
+        w, piv, ok, e = wn_batch(values, fv, n, theta0)
+        dev = (values - values[:, -1:]).transpose(0, 2, 1) * np.arange(fv, n + 1.0)
+        dev = np.ascontiguousarray(dev)
+        np.testing.assert_array_equal(w, np.einsum("bim,bjm->bij", dev, dev) / (n * n))
+        assert ok.all() and e.tolist() == [0, 0, 0, 0]
+        for p in (400, -400):
+            ws, pivs, oks, es = wn_batch(values * 2.0 ** p, fv, n, theta0 * 2.0 ** p)
+            assert oks.all() and (es != 0).all()
+            np.testing.assert_array_equal(np.ldexp(ws, 2 * es[:, None, None]), w * 2.0 ** (2 * p))
+            np.testing.assert_array_equal(pivs, piv)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_matches_the_defining_sum(self, rng, q):
         # W = N^-2 sum_t t^2 (est_t - est_N)(est_t - est_N)', term by term
         n = 200
         values, fv = _trajectories(_ar1_rows(rng, 3, n), q)
-        w, _, _ = wn_batch(values, fv, n)
+        w, _, _, _ = wn_batch(values, fv, n)
         for row, got in zip(values, w):
             expect = np.zeros((q, q))
             for t, est in enumerate(row, start=fv):
@@ -133,29 +162,31 @@ class TestWnBatch:
 
 class TestInterval:
     def test_hand_value(self):
-        res = sn_interval(prefix_mean(_ONE_TO_FIVE), critval=10.0, level=0.95)
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), _ONE_TO_FIVE)
+        res = sn_interval(seq, critval=10.0, level=0.95)
         assert res.region.lower == pytest.approx(3.0 - 1.4422205101855958, abs=1e-12)
         assert res.region.upper == pytest.approx(3.0 + 1.4422205101855958, abs=1e-12)
 
     def test_zero_critval_degenerates_to_point(self):
-        res = sn_interval(prefix_mean(_ONE_TO_FIVE), critval=0.0, level=0.95)
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), _ONE_TO_FIVE)
+        res = sn_interval(seq, critval=0.0, level=0.95)
         assert res.region.lower == res.region.upper == 3.0
 
     def test_width_scales_with_sqrt_critval(self, rng):
-        seq = prefix_mean(rng.standard_normal(30))
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), rng.standard_normal(30))
         one = sn_interval(seq, critval=5.0, level=0.9).region
         two = sn_interval(seq, critval=10.0, level=0.9).region
         assert (two.upper - two.lower) == pytest.approx(
             math.sqrt(2) * (one.upper - one.lower), rel=1e-12)
 
     def test_contains_estimate(self, rng):
-        seq = prefix_mean(rng.standard_normal(30))
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), rng.standard_normal(30))
         res = sn_interval(seq, critval=3.0, level=0.9)
         assert res.region.lower <= seq.final[0] <= res.region.upper
 
     def test_json_contract(self):
-        res = sn_interval(prefix_mean(_ONE_TO_FIVE), critval=10.0, level=0.95,
-                          estimator="mean")
+        seq = prefix_estimates(EstimatorSpec.parse("mean"), _ONE_TO_FIVE)
+        res = sn_interval(seq, critval=10.0, level=0.95, estimator="mean")
         payload = json.loads(res.to_json())
         for key in ("estimate", "L", "U", "critval", "N"):
             assert key in payload
