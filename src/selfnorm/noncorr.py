@@ -99,7 +99,9 @@ def sn_noncorr_stat_batch(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     """
     b, n = x.shape
     check_k(n, k)
-    ts, sums = _lag_sums(x, list(range(1, k + 1)), k + 2)
+    # rows scaled by 2^-e, whose lag products neither overflow nor go
+    # subnormal; the scaling is exact, so the statistic keeps its bits
+    ts, sums = _lag_sums(np.ldexp(x, -row_exponent(x)), list(range(1, k + 1)), k + 2)
     c = np.empty((b, k, ts.size))  # (B, k, S), the layout of wn_batch's deviations
     for j, s in enumerate(sums):
         c[:, j] = (s / ts[:, None]).T

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import selfnorm
-from selfnorm import cli
+from selfnorm import cli, noncorr
 
 _CONST = "\n".join(["5.0"] * 60) + "\n"
 
@@ -297,6 +297,8 @@ _HUGE = "".join(f"{v:g}\n" for v in np.where(
 _ALTERNATING = "1e+308\n-1e+308\n" * 30
 # the mean's W is in range once scaled, but its interval is not
 _WIDE = "1.7e308\n0\n0\n0\n-1.7e308\n"
+# every lag sum of a constant series is zero, so the sn normalizer is too
+_CONSTANT = "1\n" * 60
 
 
 _M1 = np.loadtxt(Path(__file__).resolve().parent / "data" / "golden" / "series_m1.txt")
@@ -346,6 +348,13 @@ class TestExtremeScales:
         for key in ("estimate", "L", "U"):
             assert out[key] == base[key] * 2.0 ** 800, key
 
+    def test_noncorr_sn_answers_on_the_largest_doubles(self):
+        # the lag products of +-1e308 overflow unless the rows are scaled first
+        r = run_cli(["test-noncorr", "--k", "2", "--method", "sn"], stdin=_HUGE)
+        assert r.returncode == 0, r.stderr
+        unit = noncorr.sn_noncorr_stat(np.ldexp(np.loadtxt(_HUGE.splitlines()), -1024), 2)
+        assert json.loads(r.stdout)["statistic"] == unit
+
     def test_mean_answers_where_w_squares_past_the_range(self):
         # dev_t is 1e308 at odd t and 0 at even t, so W = 1e616 / 120
         r = run_cli(["ci", "--stat", "mean"], stdin=_ALTERNATING)
@@ -361,8 +370,10 @@ class TestNumericalFailure:
         *(pytest.param(["ci", "--stat", s], _HUGE, id=f"ci-{s}")
           for s in ("mean", "median", "acov:1", "acf:1", "specmean:pi/2",
                     "specratio:pi/2", "ladar:1")),
+        pytest.param(["test-noncorr", "--k", "2", "--method", "sn"], _CONSTANT,
+                     id="test-noncorr-sn"),
         *(pytest.param(["test-noncorr", "--k", "2", "--method", m], _HUGE, id=f"test-noncorr-{m}")
-          for m in ("sn", "lobato", "nw")),
+          for m in ("lobato", "nw")),
         pytest.param(["ci", "--stat", "median"], _ALTERNATING, id="ci-median-alternating"),
         pytest.param(["ci", "--stat", "mean"], _WIDE, id="ci-mean-bounds-overflow"),
         *(pytest.param(["ci", "--stat", s, "--method", m, "--block", "5", "--reps", "200",

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from selfnorm import estimators
 from selfnorm.core import DegenerateVarianceError, RngStream, SolverFailedError, ValidationError
 from selfnorm.estimators import (
+    ROW_SUM_MIN_WIDTH,
     EstimatorSpec,
     _fft_len,
     batch_prefix_autocorr,
@@ -511,6 +512,36 @@ class TestSpectralBruteForce:
             assert np.all(err <= 1e-12 * scale[ok] / var[ok])
 
 
+class TestPrefixSum:
+    """The running sums over prefixes keep np.cumsum's bytes on both sides of
+    the width at which they add whole rows."""
+
+    @pytest.mark.parametrize("width", [1, ROW_SUM_MIN_WIDTH - 1, ROW_SUM_MIN_WIDTH, 700])
+    def test_bytes_of_cumsum(self, width, rng):
+        a = rng.standard_normal((40, width)) * 10.0 ** rng.integers(-300, 300, (40, width))
+        a[0, ::2] = -0.0
+        a[:, 0] = -0.0  # a column of -0.0 sums to -0.0
+        a[5, 1::3], a[7, 2::5], a[9, 3::7] = np.inf, -np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            expect = np.cumsum(a, axis=0).tobytes()
+            assert estimators._prefix_sum(a).tobytes() == expect
+            # through a series-major view, as the mean reads its rows
+            assert np.ascontiguousarray(estimators._prefix_sum(a.T.copy().T)).tobytes() == expect
+            same = a.copy()
+            assert estimators._prefix_sum(same, out=same) is same
+        assert same.tobytes() == expect
+        assert np.signbit(same[:, 0]).all()
+
+    @pytest.mark.parametrize("width", [ROW_SUM_MIN_WIDTH - 1, ROW_SUM_MIN_WIDTH])
+    def test_prefix_sums_start_at_a_zero_row(self, width, rng):
+        x = rng.standard_normal((width, 30)) + 1e6
+        xc, p = estimators._centered_prefix_sums(x)
+        assert xc.shape == (30, width) and p.shape == (31, width)
+        assert (p[0] == 0.0).all() and not np.signbit(p[0]).any()
+        assert p[1:].tobytes() == np.cumsum(xc, axis=0).tobytes()
+        assert xc.tobytes() == np.ascontiguousarray((x - x.mean(axis=1)[:, None]).T).tobytes()
+
+
 class TestBatchAgreement:
     @pytest.mark.parametrize("target", [
         "mean", "median", "acov:1", "acf:2", "specmean:pi/2", "specratio:pi/2",
@@ -524,7 +555,24 @@ class TestBatchAgreement:
         for i in range(4):
             seq = prefix_estimates(spec, x[i])
             assert seq.first_valid == first_valid
-            np.testing.assert_allclose(values[i], seq.estimates, atol=1e-12)
+            np.testing.assert_array_equal(values[i], seq.estimates)
+
+    @pytest.mark.parametrize("shape", [
+        (ROW_SUM_MIN_WIDTH - 1, 30), (ROW_SUM_MIN_WIDTH, 30), (1000, 50),
+    ])
+    @pytest.mark.parametrize("target", [
+        "mean", "median", "acov:1", "acf:2", "specmean:pi/2", "specratio:pi/2",
+    ])
+    def test_wide_batch_rows_match_single_series(self, target, shape, rng):
+        # on both sides of the width at which running sums add whole rows
+        spec = EstimatorSpec.parse(target)
+        x = rng.standard_normal(shape)
+        values, first_valid, ok = batch_prefix_values(spec, x)
+        assert ok.all()
+        for i in [*range(0, shape[0], 61), shape[0] - 1]:
+            seq = prefix_estimates(spec, x[i])
+            assert seq.first_valid == first_valid
+            np.testing.assert_array_equal(values[i], seq.estimates)
 
     def test_failed_lad_fit_marks_only_its_row(self, rng, monkeypatch):
         spec = EstimatorSpec.parse("ladar:2")

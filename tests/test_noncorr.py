@@ -147,6 +147,14 @@ class TestLevelOffsetAndScale:
         x = RngStream(6).generator().standard_normal(80)
         assert sn_noncorr_stat(a * x, 2) == pytest.approx(sn_noncorr_stat(x, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [520, -520])
+    def test_power_of_two_scale_keeps_every_bit(self, p, k):
+        # the lag products of the raw rows would be 2^(+-1040): past the
+        # double range, or subnormal and rounded
+        x = RngStream(6).generator().standard_normal(80)
+        assert sn_noncorr_stat(np.ldexp(x, p), k) == sn_noncorr_stat(x, k)
+
     @pytest.mark.parametrize("a", [1e150, 1e-150])
     def test_lobato_extreme_scales(self, a):
         x = RngStream(6).generator().standard_normal(80)
