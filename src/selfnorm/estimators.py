@@ -6,7 +6,7 @@ self-normalizer.  Batch variants evaluate whole matrices of series (one row
 per series) and are what the bootstrap and Monte Carlo layers call in their
 inner loops.
 
-The moment kernels work time-major (prefix first, series second) and return
+The moment kernels index time-major (prefix first, series second) and return
 transposed views; their running sums add whole prefix rows across a batch at
 least ROW_SUM_MIN_WIDTH series wide, np.cumsum's additions in its order.
 """
@@ -250,20 +250,17 @@ def batch_prefix_median(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centered_prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time-major rows shifted by their full-sample mean, and their prefix sums.
-
-    Returns (xc, p), (n, B) and (n + 1, B), with p[t] = P_t = xc_1 + ... +
-    xc_t, so P_0 = 0.  The statistics built on these are shift-invariant, so
-    the shift is exact; it spares the prefix-sum formulas the cancellation of
-    a level offset.  The mean can round outside [min, max]: clipping keeps a
-    constant row zero.  Min and max, exact in any order, reduce across the
-    rows of the time-major copy once it is ROW_SUM_MIN_WIDTH series wide.
+def _centered_prefix_sums(x: np.ndarray, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
+    """Rows shifted by their full-sample mean, and their prefix sums, indexed
+    time-major: (xc, p), (n, B) and (n + 1, B), p[t] = P_t = xc_1 + ... + xc_t,
+    so P_0 = 0; stored in the given order, "C" time-major or "F" series-major.
+    The statistics built on these are shift-invariant, so the shift is exact;
+    it spares the prefix-sum formulas the cancellation of a level offset.  The
+    mean can round outside [min, max]: clipping keeps a constant row zero.
     """
-    xc = x.T.copy()
-    ends = xc if xc.shape[1] >= ROW_SUM_MIN_WIDTH else x.T
-    xc -= np.clip(x.mean(axis=1), ends.min(axis=0), ends.max(axis=0))
-    p = np.zeros((x.shape[1] + 1, x.shape[0]))
+    xc = np.array(x.T, order=order)
+    xc -= np.clip(x.mean(axis=1), xc.min(axis=0), xc.max(axis=0))
+    p = np.zeros((x.shape[1] + 1, x.shape[0]), order=order)
     _prefix_sum(xc, out=p[1:])
     return xc, p
 
@@ -372,7 +369,9 @@ def batch_prefix_spectral(
     b, n = x.shape
     if n < SPECTRAL_FIRST_VALID:
         raise TooShortError(n, SPECTRAL_FIRST_VALID)
-    xc, p = _centered_prefix_sums(x)
+    # series-major below ROW_SUM_MIN_WIDTH series, for contiguous FFT lanes: at
+    # n = 600 that takes 0.87-0.89x the time-major time at 28 and 109 series
+    xc, p = _centered_prefix_sums(x, "C" if b >= ROW_SUM_MIN_WIDTH else "F")
     pt, t = p[1:], np.arange(1, n + 1)[:, None]
     g = fourier_coeffs(cutoff, n)
     size = _fft_len(2 * n - 1)  # long enough not to wrap

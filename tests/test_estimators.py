@@ -532,11 +532,14 @@ class TestPrefixSum:
         assert same.tobytes() == expect
         assert np.signbit(same[:, 0]).all()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("width", [ROW_SUM_MIN_WIDTH - 1, ROW_SUM_MIN_WIDTH])
-    def test_prefix_sums_start_at_a_zero_row(self, width, rng):
+    def test_prefix_sums_start_at_a_zero_row(self, width, order, rng):
+        # the same bytes whether stored time-major or series-major
         x = rng.standard_normal((width, 30)) + 1e6
-        xc, p = estimators._centered_prefix_sums(x)
+        xc, p = estimators._centered_prefix_sums(x, order)
         assert xc.shape == (30, width) and p.shape == (31, width)
+        assert xc.flags[order + "_CONTIGUOUS"] and p.flags[order + "_CONTIGUOUS"]
         assert (p[0] == 0.0).all() and not np.signbit(p[0]).any()
         assert p[1:].tobytes() == np.cumsum(xc, axis=0).tobytes()
         assert xc.tobytes() == np.ascontiguousarray((x - x.mean(axis=1)[:, None]).T).tobytes()
