@@ -177,7 +177,7 @@ def _resample(x: np.ndarray, spec: EstimatorSpec, cfg: MbbConfig, est=None) -> t
     def evaluate(where) -> None:
         """Draw resamples into the output slots where (a slice or indices)."""
         rows = ok[where].size
-        vals, _, fine = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
+        vals, fine = batch_prefix_values(spec, _draw(x, cfg.block_length, rows, gen))
         if not np.isfinite(vals).all():  # one flat test; the per-row one costs more
             fine = fine & np.isfinite(vals).all(axis=(1, 2))
         finals[where], ok[where] = vals[:, -1], fine

@@ -68,13 +68,11 @@ class NotPositiveDefiniteError(NumericalError):
 
 
 class DegenerateVarianceError(NumericalError):
-    def __init__(self, detail: str = "variance estimate is not positive"):
-        super().__init__(detail)
+    pass
 
 
 class SolverFailedError(NumericalError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class TooFewPrefixesError(NumericalError):

@@ -151,9 +151,7 @@ def simulate_draws(q: int, grid: int, reps: Optional[int], seed: int) -> np.ndar
     base = RngStream(seed)
     out = np.empty(reps)
     resampled = 0
-    pos = 0
-    chunk_index = 0
-    while pos < reps:
+    for chunk_index, pos in enumerate(range(0, reps, _CHUNK)):
         rows = min(_CHUNK, reps - pos)
         u, ok = _simulate_chunk(base.child("uq", q, grid, chunk_index), rows, q, grid)
         retry = 0
@@ -173,8 +171,6 @@ def simulate_draws(q: int, grid: int, reps: Optional[int], seed: int) -> np.ndar
             u[idx] = u_new
             ok[idx] = ok_new
         out[pos : pos + rows] = u
-        pos += rows
-        chunk_index += 1
     return out
 
 

@@ -29,12 +29,6 @@ from .core import (
     as_series,
 )
 
-# first prefix long enough for a mean-corrected lag-k estimate
-def _autocov_first_valid(k: int) -> int:
-    return k + 2
-
-
-SPECTRAL_FIRST_VALID = 4
 LAD_EXTRA_PREFIX = 10  # lad estimates start at t = order + 10
 
 _DEGENERATE_RTOL = 1e-14
@@ -100,6 +94,8 @@ class EstimatorSpec:
     # the one field each kind reads; every other field keeps its default, so
     # that equal statistics compare equal
     FIELD = {"acov": "lag", "acf": "lag", "specmean": "x", "specratio": "x", "ladar": "order"}
+    # per field, the noun and example argument of parse's usage message
+    USAGE = {"lag": ("a lag", "1"), "x": ("a cutoff", "pi/2"), "order": ("an order", "2")}
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -107,8 +103,10 @@ class EstimatorSpec:
         for name in ("lag", "x", "order"):
             if name != self.FIELD.get(self.kind) and getattr(self, name) != 0:
                 raise ValidationError(f"{self.kind} takes no {name}")
-        if self.kind in ("acov", "acf") and self.lag < 0:
+        if self.kind == "acov" and self.lag < 0:
             raise ValidationError("lag must be >= 0")
+        if self.kind == "acf" and self.lag < 1:
+            raise ValidationError("autocorrelation lag must be >= 1")
         if self.kind in ("specmean", "specratio") and not 0.0 <= self.x <= math.pi:
             raise ValidationError(f"spectral cutoff {self.x} outside [0, pi]")
         if self.kind == "ladar" and self.order < 1:
@@ -116,56 +114,45 @@ class EstimatorSpec:
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorSpec":
-        parts = text.strip().split(":")
-        kind = parts[0].lower()
-        args = parts[1:]
-        if kind in ("mean", "median"):
+        kind, *args = text.strip().split(":")
+        kind = kind.lower()
+        if kind not in cls.KINDS:
+            raise ValidationError(f"unknown estimator {text!r}")
+        field = cls.FIELD.get(kind)
+        if field is None:
             if args:
                 raise ValidationError(f"{kind} takes no arguments")
             return cls(kind)
-        if kind in ("acov", "acf"):
-            if len(args) != 1:
-                raise ValidationError(f"{kind} needs a lag, e.g. {kind}:1")
-            try:
-                lag = int(args[0])
-            except ValueError:
-                raise ValidationError(f"bad lag {args[0]!r}") from None
-            return cls(kind, lag=lag)
-        if kind in ("specmean", "specratio"):
-            if len(args) != 1:
-                raise ValidationError(f"{kind} needs a cutoff, e.g. {kind}:pi/2")
+        if len(args) != 1:
+            noun, example = cls.USAGE[field]
+            raise ValidationError(f"{kind} needs {noun}, e.g. {kind}:{example}")
+        if field == "x":
             return cls(kind, x=_parse_angle(args[0]))
-        if kind == "ladar":
-            if len(args) != 1:
-                raise ValidationError("ladar needs an order, e.g. ladar:2")
-            try:
-                order = int(args[0])
-            except ValueError:
-                raise ValidationError(f"bad order {args[0]!r}") from None
-            return cls(kind, order=order)
-        raise ValidationError(f"unknown estimator {text!r}")
+        try:
+            value = int(args[0])
+        except ValueError:
+            raise ValidationError(f"bad {field} {args[0]!r}") from None
+        return cls(kind, **{field: value})
 
     def canonical(self) -> str:
-        if self.kind in ("mean", "median"):
+        field = self.FIELD.get(self.kind)
+        if field is None:
             return self.kind
-        if self.kind in ("acov", "acf"):
-            return f"{self.kind}:{self.lag}"
-        if self.kind in ("specmean", "specratio"):
-            return f"{self.kind}:{_format_angle(self.x)}"
-        return f"ladar:{self.order}"
+        value = getattr(self, field)
+        return f"{self.kind}:{_format_angle(value) if field == 'x' else value}"
 
     @property
     def dim(self) -> int:
         return self.order if self.kind == "ladar" else 1
 
     def first_valid(self) -> int:
-        if self.kind in ("mean", "median"):
-            return 1
+        """The shortest prefix with an estimate: a mean-corrected lag-k
+        estimate needs k + 2 observations, a spectral average 4."""
         if self.kind in ("acov", "acf"):
-            return _autocov_first_valid(self.lag)
+            return self.lag + 2
         if self.kind in ("specmean", "specratio"):
-            return SPECTRAL_FIRST_VALID
-        return self.order + LAD_EXTRA_PREFIX
+            return 4
+        return self.order + LAD_EXTRA_PREFIX if self.kind == "ladar" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +185,20 @@ def _prefix_sum(a: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def batch_prefix_mean(x: np.ndarray) -> np.ndarray:
-    """(B, n) -> (B, n) prefix means, first column = first observation."""
-    x = _check_matrix(x)
+def _every_row(x: np.ndarray) -> np.ndarray:
+    """ok of a kernel none of whose rows can fail."""
+    return np.ones(x.shape[0], dtype=bool)
+
+
+def _mean(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n) prefix means, first column = first observation."""
     s = _prefix_sum(x.T)
     s /= np.arange(1, x.shape[1] + 1, dtype=np.float64)[:, None]
-    return s.T
+    return s.T, _every_row(x)
 
 
-def batch_prefix_median(x: np.ndarray) -> np.ndarray:
-    """(B, n) -> (B, n) prefix medians (midpoint rule on even prefixes).
+def _median(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n) prefix medians (midpoint rule on even prefixes).
 
     Each row is sorted once.  Walking back from the full sample, the newest
     observation is unlinked from a doubly linked list over the sorted order,
@@ -217,7 +208,6 @@ def batch_prefix_median(x: np.ndarray) -> np.ndarray:
     bytes and the sort need not be stable: a tie may land in any order
     without changing a median's bits.
     """
-    x = _check_matrix(x)
     b, n = x.shape
     order = np.argsort(x, axis=1)
     # flat indices into (B, n + 1) arrays: a row's sorted positions 0..n-1,
@@ -247,7 +237,7 @@ def batch_prefix_median(x: np.ndarray) -> np.ndarray:
         before, after = prev[gone], nxt[gone]
         nxt[before] = after
         prev[after] = before
-    return out
+    return out, _every_row(x)
 
 
 def _centered_prefix_sums(x: np.ndarray, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
@@ -293,8 +283,8 @@ def _lag_sums(x: np.ndarray, lags: list[int], t_min: int) -> tuple[np.ndarray, l
       sum_{j<=t-k} (x_j - m_t)(x_{j+k} - m_t)
         = Q_t - m_t (P_{t-k} + P_t - P_k) + (t-k) m_t^2,
     so each lag costs O(B n) time and memory; its terms are formed in place.
+    x is a float (B, n) matrix.
     """
-    x = _check_matrix(x)
     n, top = x.shape[1], max(lags)
     if min(lags) < 0 or top > n - 1 or t_min > n:
         raise LagTooLargeError(top, n)
@@ -317,19 +307,17 @@ def _lag_sums(x: np.ndarray, lags: list[int], t_min: int) -> tuple[np.ndarray, l
     return ts, sums
 
 
-def batch_prefix_autocov(x: np.ndarray, k: int) -> np.ndarray:
-    """(B, n) -> (B, n-k-1) prefix autocovariances, prefixes k+2..n."""
-    ts, (s,) = _lag_sums(x, [k], _autocov_first_valid(k))
+def _autocov(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n-k-1) prefix lag-k autocovariances, prefixes k+2..n."""
+    ts, (s,) = _lag_sums(x, [spec.lag], spec.first_valid())
     s /= ts[:, None]
-    return s.T
+    return s.T, _every_row(x)
 
 
-def batch_prefix_autocorr(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix lag-k autocorrelations; returns (values, ok_rows) as _ratio.
-    The lag sums share the divisor t, so their ratio leaves it out."""
-    if k < 1:
-        raise ValidationError("autocorrelation lag must be >= 1")
-    ts, (num, den) = _lag_sums(x, [k, 0], _autocov_first_valid(k))
+def _autocorr(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix lag-k autocorrelations, as _ratio returns them.  The lag sums
+    share the divisor t, so their ratio leaves it out."""
+    ts, (num, den) = _lag_sums(x, [spec.lag, 0], spec.first_valid())
     return _ratio(num, den, ts)
 
 
@@ -348,11 +336,9 @@ def _fft_len(m: int) -> int:
         m += 1
 
 
-def batch_prefix_spectral(
-    x: np.ndarray, cutoff: float, ratio: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _spectral(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix spectral averages S_t = sum_{k<t} g_k gamma_t(k) for t = 4..n,
-    g the fourier_coeffs of the indicator of [0, cutoff].
+    g the fourier_coeffs of the indicator of [0, spec.x].
 
     Summing the lag-k formula of _lag_sums against g gives, on the same
     centred rows and prefix sums P (P_0 = 0, m_t = P_t / t),
@@ -361,19 +347,19 @@ def batch_prefix_spectral(
     G, K, H the cumsums of g_k, k g_k and g_k P_k.  The two convolutions run
     by FFT, so a (B, n) batch costs O(B n log n) time and O(B n) memory.
 
-    For ratio=True divides by gamma_t(0)/2 = (sum_{j<=t} x_j^2 - P_t m_t)/(2t),
+    specratio divides by gamma_t(0)/2 = (sum_{j<=t} x_j^2 - P_t m_t)/(2t),
     the spectral average of the constant weight, giving a normalized spectral
-    distribution value; returns (values, ok_rows) as _ratio.
+    distribution value, as _ratio returns it.
     """
-    x = _check_matrix(x)
     b, n = x.shape
-    if n < SPECTRAL_FIRST_VALID:
-        raise TooShortError(n, SPECTRAL_FIRST_VALID)
+    first = spec.first_valid()
+    if n < first:
+        raise TooShortError(n, first)
     # series-major below ROW_SUM_MIN_WIDTH series, for contiguous FFT lanes: at
     # n = 600 that takes 0.87-0.89x the time-major time at 28 and 109 series
     xc, p = _centered_prefix_sums(x, "C" if b >= ROW_SUM_MIN_WIDTH else "F")
     pt, t = p[1:], np.arange(1, n + 1)[:, None]
-    g = fourier_coeffs(cutoff, n)
+    g = fourier_coeffs(spec.x, n)
     size = _fft_len(2 * n - 1)  # long enough not to wrap
     g_hat = np.fft.rfft(g, size)[:, None]
     c, d = (np.fft.irfft(np.fft.rfft(a, size, axis=0) * g_hat, size, axis=0)[:n]
@@ -383,34 +369,10 @@ def batch_prefix_spectral(
     m = pt / t
     s = _prefix_sum(xc * c) - m * (d + pt * big_g - h)
     s = (s + m * m * (t * big_g - np.cumsum(np.arange(n) * g)[:, None])) / t
-    first = SPECTRAL_FIRST_VALID - 1
-    if not ratio:
-        return s[first:].T, np.ones(b, dtype=bool)
+    if spec.kind == "specmean":
+        return s[first - 1:].T, _every_row(x)
     den = (_prefix_sum(xc * xc) - pt * m) / (2.0 * t)
-    return _ratio(s[first:], den[first:])
-
-
-def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Dispatch: (values (B, rows, dim), first_valid, ok (B,)) for any estimator.
-
-    values[b] is the (rows, dim) trajectory of row b, the layout of
-    EstimateSequence and wn_batch; rows that ok marks False are NaN.
-    """
-    x = _check_matrix(x)
-    if spec.kind == "ladar":
-        return _batch_lad_ar(x, spec.order)
-    ok = np.ones(x.shape[0], dtype=bool)
-    if spec.kind == "mean":
-        vals = batch_prefix_mean(x)
-    elif spec.kind == "median":
-        vals = batch_prefix_median(x)
-    elif spec.kind == "acov":
-        vals = batch_prefix_autocov(x, spec.lag)
-    elif spec.kind == "acf":
-        vals, ok = batch_prefix_autocorr(x, spec.lag)
-    else:
-        vals, ok = batch_prefix_spectral(x, spec.x, spec.kind == "specratio")
-    return vals[:, :, None], spec.first_valid(), ok
+    return _ratio(s[first - 1:], den[first - 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +451,37 @@ def _lad_path(x: np.ndarray, p: int) -> np.ndarray:
     return (out / sv[:rank]) @ vt[:rank]
 
 
-def _batch_lad_ar(x: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """batch_prefix_values for ladar:p, each prefix an exact L1 optimum
+def _lad_ar(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n - p - 9, p) ladar:p paths, each prefix an exact L1 optimum
     certified by its duals; a row whose solver fails is not ok."""
     b, n = x.shape
-    first = p + LAD_EXTRA_PREFIX
+    first = spec.first_valid()
     if n < first:
         raise TooShortError(n, first)
-    vals = np.full((b, n - first + 1, p), np.nan)
-    ok = np.ones(b, dtype=bool)
+    vals = np.full((b, n - first + 1, spec.order), np.nan)
+    ok = _every_row(x)
     for r in range(b):
         try:
-            vals[r] = _lad_path(x[r], p)
+            vals[r] = _lad_path(x[r], spec.order)
         except SolverFailedError:
             ok[r] = False
-    return vals, first, ok
+    return vals, ok
+
+
+_KERNELS = {"mean": _mean, "median": _median, "acov": _autocov, "acf": _autocorr,
+            "specmean": _spectral, "specratio": _spectral, "ladar": _lad_ar}
+
+
+def batch_prefix_values(spec: EstimatorSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values (B, rows, dim), ok (B,)) of any estimator on the rows of x,
+    prefixes spec.first_valid()..n.
+
+    values[b] is the (rows, dim) trajectory of row b, the layout of
+    EstimateSequence and wn_batch; rows that ok marks False are NaN.
+    """
+    x = _check_matrix(x)
+    vals, ok = _KERNELS[spec.kind](spec, x)
+    return vals.reshape(*vals.shape[:2], spec.dim), ok
 
 
 def prefix_lad_ar(ts: SeriesLike, p: int) -> EstimateSequence:
@@ -519,9 +497,9 @@ def prefix_lad_ar(ts: SeriesLike, p: int) -> EstimateSequence:
 def prefix_estimates(spec: EstimatorSpec, ts: SeriesLike) -> EstimateSequence:
     """Evaluate any estimator spec on one series: a batch of one."""
     s = as_series(ts)
-    vals, first_valid, ok = batch_prefix_values(spec, s.values[None, :])
+    vals, ok = batch_prefix_values(spec, s.values[None, :])
     if not ok[0]:
         if spec.kind == "ladar":
             raise SolverFailedError("L1 autoregression did not converge")
         raise DegenerateVarianceError(f"a prefix variance vanished; {spec.canonical()} undefined")
-    return EstimateSequence(vals[0], first_valid, s.n)
+    return EstimateSequence(vals[0], spec.first_valid(), s.n)

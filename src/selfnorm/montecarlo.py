@@ -186,10 +186,10 @@ def _sn_block(spec: EstimatorSpec, n: int, theta0, x: np.ndarray, bad: dict) -> 
     """Full-sample estimates "center" (B, dim), wn_batch's "w" (B, dim, dim)
     and "e" (B,), and pivots at theta0 "pivot" (B,) of the rows of x; none of
     them when an estimate path is degenerate, since the chunk then fails."""
-    vals, fv, ok = batch_prefix_values(spec, x)
+    vals, ok = batch_prefix_values(spec, x)
     if not _passed(bad, f"degenerate {spec.canonical()} estimate paths", ok):
         return {}
-    w, pivot, ok, e = wn_scalar_batch(vals, fv, n, theta0)
+    w, pivot, ok, e = wn_scalar_batch(vals, spec.first_valid(), n, theta0)
     _passed(bad, "singular self-normalizers", ok)
     return {"center": vals[:, -1].copy(), "w": w, "e": e, "pivot": pivot}  # no view keeps vals alive
 

@@ -190,11 +190,14 @@ def _lag_products(xc: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
-def _ar1_coefficients(w: np.ndarray, cap: float = 0.97) -> np.ndarray:
+_AR1_CAP = 0.97
+
+
+def _ar1_coefficients(w: np.ndarray) -> np.ndarray:
     """AR(1) coefficient of each centred series along w's last axis, capped."""
     denom = (w[..., :-1] * w[..., :-1]).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.clip((w[..., 1:] * w[..., :-1]).sum(axis=-1) / denom, -cap, cap)
+        a = np.clip((w[..., 1:] * w[..., :-1]).sum(axis=-1) / denom, -_AR1_CAP, _AR1_CAP)
     return np.where(denom > 0.0, a, 0.0)
 
 

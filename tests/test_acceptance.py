@@ -44,13 +44,12 @@ class TestAcceptance:
         worst = 0.0
         for n, rows in ((57, 50), (200, 50)):
             x = rng.standard_normal((rows, n)) * 3.0 + 1.5
-            sm, sm_first, _ = batch_prefix_values(
-                EstimatorSpec.parse("specmean:pi"), x)
-            ac, ac_first, _ = batch_prefix_values(
-                EstimatorSpec.parse("acov:0"), x)
-            half = ac[:, sm_first - ac_first:] / 2.0
+            sm_spec, ac_spec = EstimatorSpec.parse("specmean:pi"), EstimatorSpec.parse("acov:0")
+            sm, _ = batch_prefix_values(sm_spec, x)
+            ac, _ = batch_prefix_values(ac_spec, x)
+            half = ac[:, sm_spec.first_valid() - ac_spec.first_valid():] / 2.0
             worst = max(worst, float(np.max(np.abs(sm - half))))
-            ratio, _, ok = batch_prefix_values(
+            ratio, ok = batch_prefix_values(
                 EstimatorSpec.parse("specratio:pi"), x)
             assert np.all(ok)
             worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
@@ -61,8 +60,9 @@ class TestAcceptance:
         t0 = time.monotonic()
         base = RngStream(31415)
         x = generate_batch("iidn", 500, [base.child("rep", i) for i in range(5000)])
-        values, first, _ = batch_prefix_values(EstimatorSpec.parse("mean"), x)
-        _, piv, ok, _ = wn_batch(values, first, 500, 0.0)
+        spec = EstimatorSpec.parse("mean")
+        values, _ = batch_prefix_values(spec, x)
+        _, piv, ok, _ = wn_batch(values, spec.first_valid(), 500, 0.0)
         assert bool(np.all(ok))
         ref = simulate_draws(1, 1000, 50000, 99991)
         ks = stats.ks_2samp(piv, ref).statistic
@@ -189,8 +189,8 @@ class TestAcceptance:
                          ("acov:1", lambda v: 6.25 * v),
                          ("acf:1", lambda v: v)):
             spec = EstimatorSpec.parse(tgt)
-            a, fa, _ = batch_prefix_values(spec, x[None, :])
-            b, _, _ = batch_prefix_values(spec, moved[None, :])
+            a, _ = batch_prefix_values(spec, x[None, :])
+            b, _ = batch_prefix_values(spec, moved[None, :])
             assert np.allclose(b, out(a), rtol=1e-9, atol=1e-12)
 
         # least-absolute-deviation fit agrees with a brute-force grid

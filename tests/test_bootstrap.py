@@ -292,14 +292,14 @@ class TestRaggedReplication:
             return real_draw(series, block_length, rows, gen)
 
         def values(spec, resamples):
-            vals, first, ok = real_values(spec, resamples)
+            vals, ok = real_values(spec, resamples)
             calls.setdefault(block[0], []).append(resamples.shape[0])
             rate = rates.get(block[0])
             if rate is not None:
                 bad = resamples[:, 0] > np.quantile(x, 1.0 - rate)
                 vals[bad] = np.nan
                 ok = ok & ~bad
-            return vals, first, ok
+            return vals, ok
 
         monkeypatch.setattr(bootstrap, "_draw", draw)
         monkeypatch.setattr(bootstrap, "batch_prefix_values", values)

@@ -2,6 +2,7 @@
 numerical-quadrature oracle for the spectral averages."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from selfnorm.estimators import (
     ROW_SUM_MIN_WIDTH,
     EstimatorSpec,
     _fft_len,
-    batch_prefix_autocorr,
-    batch_prefix_spectral,
     batch_prefix_values,
     fourier_coeffs,
     prefix_estimates,
@@ -60,11 +59,49 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("text", [
         "mean:1", "acov", "acov:x", "specmean", "specmean:4.0",
-        "ladar:0", "ladar", "unknown", "acf:-1",
+        "ladar:0", "ladar", "unknown", "acf:-1", "acf:0",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValidationError):
             EstimatorSpec.parse(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("mean:1", "mean takes no arguments"),
+        ("median:2", "median takes no arguments"),
+        ("acov", "acov needs a lag, e.g. acov:1"),
+        ("acf:1:2", "acf needs a lag, e.g. acf:1"),
+        ("specmean", "specmean needs a cutoff, e.g. specmean:pi/2"),
+        ("specratio", "specratio needs a cutoff, e.g. specratio:pi/2"),
+        ("ladar", "ladar needs an order, e.g. ladar:2"),
+        ("acov:x", "bad lag 'x'"),
+        ("ladar:x", "bad order 'x'"),
+        ("specmean:foo", "cannot parse angle 'foo'"),
+        ("bogus", "unknown estimator 'bogus'"),
+        ("acf:0", "autocorrelation lag must be >= 1"),
+        ("acf:-1", "autocorrelation lag must be >= 1"),
+        ("acov:-1", "lag must be >= 0"),
+    ])
+    def test_usage_messages(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EstimatorSpec.parse(text)
+
+    @staticmethod
+    def _spec(kind):
+        """A spec of kind with lag 2, cutoff 1.0 or order 2, as it takes."""
+        field = EstimatorSpec.FIELD.get(kind)
+        return EstimatorSpec(kind, **({} if field is None else {field: 1.0 if field == "x" else 2}))
+
+    @pytest.mark.parametrize("kind", EstimatorSpec.KINDS)
+    def test_every_kind_round_trips(self, kind):
+        spec = self._spec(kind)
+        assert EstimatorSpec.parse(spec.canonical()) == spec
+
+    @pytest.mark.parametrize("kind", EstimatorSpec.KINDS)
+    def test_every_kind_returns_values_and_ok(self, kind, rng):
+        spec = self._spec(kind)
+        values, ok = batch_prefix_values(spec, rng.standard_normal((3, 60)))
+        assert values.shape == (3, 61 - spec.first_valid(), spec.dim)
+        assert ok.shape == (3,) and ok.dtype == bool
 
     @pytest.mark.parametrize("kind,field,value", [
         ("mean", "lag", 3), ("median", "x", 1.0), ("acov", "order", 2),
@@ -125,7 +162,7 @@ class TestPrefixMedian:
         x = np.round(rng.standard_normal((6, n)), 0)
         x[0] = 1.5
         spec = EstimatorSpec.parse("median")
-        values, _, _ = batch_prefix_values(spec, x)
+        values, _ = batch_prefix_values(spec, x)
         expect = np.stack([np.median(x[:, :t], axis=1) for t in range(1, n + 1)], axis=1)
         np.testing.assert_array_equal(values[:, :, 0], expect)
 
@@ -332,7 +369,7 @@ class TestLadAr:
         from selfnorm.dgp import generate_batch
 
         x = generate_batch("m9", n, [RngStream(1).child("rep", rep)])
-        values, _, ok = batch_prefix_values(EstimatorSpec.parse("ladar:2"), x)
+        values, ok = batch_prefix_values(EstimatorSpec.parse("ladar:2"), x)
         assert ok.all()
         assert np.isfinite(values).all()
 
@@ -382,9 +419,15 @@ def _acf_oracle(x, k, ts):
     return np.array(out)
 
 
+def _kernel(text, x):
+    """batch_prefix_values of a one-dimensional statistic as (B, rows)."""
+    values, ok = batch_prefix_values(EstimatorSpec.parse(text), x)
+    return values[:, :, 0], ok
+
+
 class TestAutocorrKernel:
-    """batch_prefix_autocorr against a two-pass oracle where the bootstrap
-    and the single-series paths use it, and its ok mask on degenerate rows."""
+    """The acf:1 kernel against a two-pass oracle where the bootstrap and the
+    single-series paths use it, and its ok mask on degenerate rows."""
 
     def test_bootstrap_shape(self):
         from selfnorm.bootstrap import _draw
@@ -392,7 +435,7 @@ class TestAutocorrKernel:
 
         series = generate_batch("ar1:0.5:normal", 50, [RngStream(3)])[0]
         x = _draw(series, 4, 1000, np.random.default_rng(8))  # (1000, 50) block resamples
-        values, ok = batch_prefix_autocorr(x, 1)
+        values, ok = _kernel("acf:1", x)
         assert ok.all()
         for row in range(0, 1000, 40):
             expect = _acf_oracle(x[row], 1, range(3, 51))
@@ -402,7 +445,7 @@ class TestAutocorrKernel:
         from selfnorm.dgp import generate_batch
 
         x = generate_batch("ar1:0.5:normal", 5000, [RngStream(4)])
-        values, ok = batch_prefix_autocorr(x, 1)
+        values, ok = _kernel("acf:1", x)
         assert ok.all()
         ts = np.r_[3:60, 60:5000:97, 5000]
         assert np.max(np.abs(values[0, ts - 3] - _acf_oracle(x[0], 1, ts))) <= 1e-13
@@ -421,7 +464,7 @@ class TestAutocorrKernel:
             np.r_[np.full(49, 1.0), 2.0],
             1e-300 * z,  # its variance underflows
         ])
-        values, ok = batch_prefix_autocorr(rows, 1)
+        values, ok = _kernel("acf:1", rows)
         expect_ok = [False, False, True, True, True, False, True, True, False, False]
         assert ok.tolist() == expect_ok
         assert np.isnan(values[~ok]).all()
@@ -443,7 +486,7 @@ class TestLevelOffsetAndScale:
     def test_offset_matches_two_pass_oracle(self, target, offset, tol):
         spec = EstimatorSpec.parse(target)
         x = _SERIES + offset
-        values, _, ok = batch_prefix_values(spec, x[None, :])
+        values, ok = batch_prefix_values(spec, x[None, :])
         expect, scale = _two_pass_oracle(spec, x)
         assert ok[0]
         assert np.max(np.abs(values[0, :, 0] - expect) / scale) <= tol
@@ -453,8 +496,8 @@ class TestLevelOffsetAndScale:
     def test_extreme_scales(self, target, a):
         spec = EstimatorSpec.parse(target)
         power = {"mean": 1, "median": 1, "acf": 0, "specratio": 0}.get(spec.kind, 2)
-        base, _, _ = batch_prefix_values(spec, _SERIES[None, :])
-        scaled, _, ok = batch_prefix_values(spec, a * _SERIES[None, :])
+        base, _ = batch_prefix_values(spec, _SERIES[None, :])
+        scaled, ok = batch_prefix_values(spec, a * _SERIES[None, :])
         assert ok[0]
         scale = np.std(_SERIES) if power == 1 else _two_pass_oracle(spec, _SERIES)[1]
         assert np.max(np.abs(scaled[0, :, 0] / a**power - base[0, :, 0]) / scale) <= 1e-12
@@ -468,7 +511,7 @@ class TestLevelOffsetAndScale:
 
 
 class TestSpectralBruteForce:
-    """batch_prefix_spectral against per-prefix sum_k g_k gamma_t(k), with
+    """The specmean and specratio kernels against per-prefix sum_k g_k gamma_t(k), with
     two-pass autocovariances, on batches with constant and near-constant
     rows.  Errors are relative to the prefix's mean square about the
     full-sample mean, the centring the kernel uses: the prefix variance,
@@ -500,12 +543,12 @@ class TestSpectralBruteForce:
         scale = var + drift**2
         for cutoff in (0.0, math.pi / 4, math.pi / 2, math.pi):
             expect = gammas @ fourier_coeffs(cutoff, n)
-            vals, ok = batch_prefix_spectral(x, cutoff, ratio=False)
+            vals, ok = _kernel(f"specmean:{cutoff!r}", x)
             assert ok.all()
             assert np.all(np.abs(vals - expect) <= 1e-12 * scale)
             den = var / 2.0
             expect_ok = (den > 1e-14 * den[:, -1:]).all(axis=1) & (den[:, -1] > 0)
-            vals, ok = batch_prefix_spectral(x, cutoff, ratio=True)
+            vals, ok = _kernel(f"specratio:{cutoff!r}", x)
             np.testing.assert_array_equal(ok, expect_ok)
             assert np.all(np.isnan(vals[~ok]))
             err = np.abs(vals[ok] - expect[ok] / den[ok])
@@ -553,11 +596,11 @@ class TestBatchAgreement:
     def test_batch_rows_match_single_series(self, target, rng):
         spec = EstimatorSpec.parse(target)
         x = rng.standard_normal((4, 30))
-        values, first_valid, ok = batch_prefix_values(spec, x)
+        values, ok = batch_prefix_values(spec, x)
         assert ok.all()
         for i in range(4):
             seq = prefix_estimates(spec, x[i])
-            assert seq.first_valid == first_valid
+            assert seq.first_valid == spec.first_valid()
             np.testing.assert_array_equal(values[i], seq.estimates)
 
     @pytest.mark.parametrize("shape", [
@@ -570,11 +613,11 @@ class TestBatchAgreement:
         # on both sides of the width at which running sums add whole rows
         spec = EstimatorSpec.parse(target)
         x = rng.standard_normal(shape)
-        values, first_valid, ok = batch_prefix_values(spec, x)
+        values, ok = batch_prefix_values(spec, x)
         assert ok.all()
         for i in [*range(0, shape[0], 61), shape[0] - 1]:
             seq = prefix_estimates(spec, x[i])
-            assert seq.first_valid == first_valid
+            assert seq.first_valid == spec.first_valid()
             np.testing.assert_array_equal(values[i], seq.estimates)
 
     def test_failed_lad_fit_marks_only_its_row(self, rng, monkeypatch):
@@ -589,11 +632,11 @@ class TestBatchAgreement:
             return real(row, p)
 
         monkeypatch.setattr(estimators, "_lad_path", path)
-        values, first_valid, ok = batch_prefix_values(spec, x)
-        assert values.shape == (3, 30 - first_valid + 1, 2)
+        values, ok = batch_prefix_values(spec, x)
+        assert values.shape == (3, 30 - spec.first_valid() + 1, 2)
         assert ok.tolist() == [True, False, True]
         assert np.isnan(values[1]).all()
-        rest, _, rest_ok = batch_prefix_values(spec, x[[0, 2]])
+        rest, rest_ok = batch_prefix_values(spec, x[[0, 2]])
         assert rest_ok.all()
         np.testing.assert_array_equal(values[[0, 2]], rest)
         # a single series is a batch of one

@@ -97,11 +97,12 @@ def _trajectories(x, q):
     """(B, rows, q) prefix trajectories with their first_valid: the mean for
     q = 1, else the acov:1..q stack on the prefixes where every lag is valid."""
     if q == 1:
-        values, fv, _ = batch_prefix_values(EstimatorSpec.parse("mean"), x)
-        return values, fv
-    parts = [batch_prefix_values(EstimatorSpec.parse(f"acov:{j}"), x) for j in range(1, q + 1)]
-    fv = max(p[1] for p in parts)
-    return np.concatenate([v[:, fv - f:] for v, f, _ in parts], axis=-1), fv
+        spec = EstimatorSpec.parse("mean")
+        return batch_prefix_values(spec, x)[0], spec.first_valid()
+    specs = [EstimatorSpec.parse(f"acov:{j}") for j in range(1, q + 1)]
+    parts = [(batch_prefix_values(s, x)[0], s.first_valid()) for s in specs]
+    fv = max(f for _, f in parts)
+    return np.concatenate([v[:, fv - f:] for v, f in parts], axis=-1), fv
 
 
 class TestWnBatch:
